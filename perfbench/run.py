@@ -2,7 +2,7 @@
 
 From the root of a checkout::
 
-    python3 perfbench/run.py --workload mixed_batch --seed 1 --seconds 18 --trace 0
+    python3 perfbench/run.py --workload mixed_batch --seed 1 --seconds 25 --trace 0
 
 Workloads: mixed_batch, mixed_batch_process, cohort_cold, stream_refresh
 (``BENCHMARK.json`` says why each exists, ``workloads.py`` what it does).  Each is
@@ -12,16 +12,21 @@ this process may use: the thread front end and the process tier each get
 ``min(4, nproc)`` workers.
 
 The run sets the program up ``SETUP_REPS`` times (``setup_s`` is the
-median), builds reference answers and warms the caches, runs
-``WARMUP_OPS`` untimed ops, then measures ops for ``--seconds`` seconds,
-checking every answer outside the timed region.
+median), builds reference answers and warms the caches, runs untimed
+warm-up ops (at least ``WARMUP_OPS`` and ``WARMUP_SECONDS``), then
+measures ops for ``--seconds`` seconds, checking every answer outside the
+timed region.  Time metrics are scaled to the reference machine's quiet
+host speed by a probe timed between ops (``host_probe_ms``); the figures
+as measured are reported too, with the per-layer metrics.
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` splits the
-measuring time: an untraced half, then a traced half whose per-layer
-numbers are reported, together with the traced-minus-untraced ``op_p50_ms``
-(the cost of tracing).  The last line of standard output is one JSON
-object: ``{"correct", "attempted", "failed", "metrics"}``; the line before
-it records the seed, CPU count, versions and sizes of the run.
+``--trace 0`` reports the end-to-end metrics of ``BENCHMARK.json``.
+``--trace 1`` splits the measuring time: an untraced half, whose op
+figures as measured (``raw.*``) and host probe are reported, then a traced
+half whose per-layer numbers are reported, together with the
+traced-minus-untraced median op latency (the cost of tracing).  The last
+line of standard output is one JSON object: ``{"correct", "attempted",
+"failed", "metrics"}``; the line before it records the seed, CPU count,
+versions and sizes of the run.
 
 Scratch stores go to ``.perfbench_work/`` in the checkout and are removed
 before the run exits.
@@ -30,10 +35,10 @@ before the run exits.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
-import resource
 import shutil
 import statistics
 import sys
@@ -43,60 +48,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SETUP_REPS = 3
 WARMUP_OPS = 2
+WARMUP_SECONDS = 1.0
+# Host-speed probe: a fixed pure-Python loop, and the milliseconds it takes
+# per CPU on the reference machine (2 vCPUs, Python 3.11) when its host is
+# quiet.  Time metrics are reported at that speed; see host_probe_ms().
+PROBE_LOOP = 40_000
+REF_PROBE_MS = 3.5
 # On mixed_batch, the traced medians of request building and serving must
-# add up to the traced op_p50_ms within this share: nothing else may hide
-# inside the timed op.
+# add up to the traced median op latency within this share: nothing else
+# may hide inside the timed op.
 ACCOUNTING_TOLERANCE = 0.05
 
-END_TO_END = {
-    "setup_s": "s",
-    "op_p50_ms": "ms",
-    "op_tail_ms": "ms",
-    "requests_per_s": "req/s",
-    "peak_rss_mb": "MB",
-    "synopsis_l2_error": "l2",
-}
 
-PER_LAYER = {
-    "frontend.request_build_ms": "ms",
-    "frontend.serve_ms": "ms",
-    "frontend.route_ms": "ms",
-    "frontend.coalesce_ms": "ms",
-    "frontend.evaluate_ms": "ms",
-    "frontend.reassemble_ms": "ms",
-    "frontend.coalesce_ratio": "fraction",
-    "frontend.overhead_ratio": "ratio",
-    "engine.kernel_ms": "ms",
-    "engine.table_fetch_ms": "ms",
-    "engine.table_hit_ratio": "fraction",
-    "engine.table_builds": "count",
-    "engine.group_kernel_ms": "ms",
-    "router.group_ms": "ms",
-    "router.resolve_ms": "ms",
-    "store.hydrations": "count",
-    "store.evictions": "count",
-    "store.resident_bytes_peak": "B",
-    "store.extend_ms": "ms",
-    "store.refresh_ms": "ms",
-    "workers.serve_ms": "ms",
-    "workers.encode_ms": "ms",
-    "workers.decode_ms": "ms",
-    "workers.wire_bytes": "B",
-    "workers.remote_ms": "ms",
-    "workers.restarts": "count",
-    "persistence.save_s": "s",
-    "persistence.load_s": "s",
-    "planner.register_many_s": "s",
-    "planner.plans_reused": "count",
-    "planner.plans_probed": "count",
-    "builders.merge_build_ms": "ms",
-    "builders.merge_points_per_s": "points/s",
-    "sampling.extend_ms": "ms",
-    "sampling.window_support": "count",
-    "ingest_samples_per_s": "samples/s",
-    "failed_ratio": "fraction",
-    "trace.overhead_ms": "ms",
-}
+def metric_units(section: str) -> dict:
+    """Metric name -> unit for one section of ``BENCHMARK.json``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["unit"] for metric in spec[section]}
 
 
 def parse_args(argv):
@@ -146,29 +113,98 @@ def hwm_kib(pid: int) -> int:
     return 0
 
 
+def reset_hwm(pid: int) -> None:
+    """Restart a process's VmHWM from its current resident set."""
+    try:
+        with open(f"/proc/{pid}/clear_refs", "w") as clear_refs:
+            clear_refs.write("5")
+    except OSError:
+        pass  # the figure then also covers what came before
+
+
+def run_delay_ns() -> int:
+    """Time this thread has waited behind other threads for a CPU, in ns."""
+    try:
+        with open("/proc/thread-self/schedstat") as schedstat:
+            return int(schedstat.read().split()[1])
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
+def host_probe_ms() -> float:
+    """How fast the host runs this machine's CPUs now, as the milliseconds
+    ``PROBE_LOOP`` iterations of a pure-Python loop take, mean over the CPUs.
+
+    The loop runs pinned to each CPU in turn.  The time the thread waited
+    behind other runnable threads of this machine is taken off, so the
+    figure follows the host (a busy sibling core, stolen time), not the
+    program's own load: a program that keeps a CPU busy between ops does
+    not slow the probe.
+    """
+    cpus = sorted(os.sched_getaffinity(0))
+    times = []
+    try:
+        for cpu in cpus:
+            os.sched_setaffinity(0, {cpu})
+            waited, start = run_delay_ns(), time.perf_counter()
+            total = 0
+            for i in range(PROBE_LOOP):
+                total += i * i
+            elapsed_ms = (time.perf_counter() - start) * 1e3
+            times.append(elapsed_ms - (run_delay_ns() - waited) / 1e6)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    return statistics.fmean(times)
+
+
 def measure(workload, seconds, traced, first_index):
-    """Closed-loop ops for ``seconds`` of wall time; answers checked between."""
+    """Closed-loop ops for ``seconds`` of wall time; answers checked between.
+
+    The host probe runs between ops; each op's ``host_ms`` is the mean of
+    the probes just before and just after it.
+    """
     records = []
+    probes = [host_probe_ms()]
     start = time.perf_counter()
     while True:
         record = workload.op(first_index + len(records), traced)
         workload.verify(record)
+        probes.append(host_probe_ms())
+        record.host_ms = (probes[-2] + probes[-1]) / 2
         records.append(record)
         if time.perf_counter() - start >= seconds:
             break
     return records
 
 
-def end_to_end(workload, records, setup_times, peak_rss_mb):
-    latencies = [r.seconds for r in records]
-    tail_s, tail_pct, beyond = tail(latencies)
+def at_ref_speed(seconds: float, host_ms: float) -> float:
+    """A time measured while the probe took ``host_ms``, at reference speed."""
+    return seconds * REF_PROBE_MS / host_ms
+
+
+def op_metrics(workload, records, setups, peak_rss_mb):
+    """Metrics of the untraced ops and of the set-ups, by name.
+
+    ``setups`` holds ``(seconds, host_ms)`` per set-up.  Times are reported
+    at reference host speed; the ``raw.`` metrics are the same figures as
+    measured.
+    """
+    raw = [r.seconds for r in records]
+    adjusted = [at_ref_speed(r.seconds, r.host_ms) for r in records]
+    requests = sum(r.requests for r in records)
+    tail_s, tail_pct, beyond = tail(adjusted)
     metrics = {
-        "setup_s": statistics.median(setup_times),
-        "op_p50_ms": statistics.median(latencies) * 1e3,
+        "setup_s": statistics.median(at_ref_speed(t, h) for t, h in setups),
+        "op_p50_ms": statistics.median(adjusted) * 1e3,
         "op_tail_ms": tail_s * 1e3,
-        "requests_per_s": sum(r.requests for r in records) / sum(latencies),
+        "requests_per_s": requests / sum(adjusted),
         "peak_rss_mb": peak_rss_mb,
         "synopsis_l2_error": workload.quality(),
+        "raw.setup_s": statistics.median(t for t, _ in setups),
+        "raw.op_p50_ms": statistics.median(raw) * 1e3,
+        "raw.op_tail_ms": tail(raw)[0] * 1e3,
+        "raw.requests_per_s": requests / sum(raw),
+        "host.probe_ms": statistics.median(r.host_ms for r in records),
     }
     tail_info = {"op_tail_percentile": tail_pct, "op_tail_samples_beyond": beyond,
                  "ops": len(records)}
@@ -192,32 +228,48 @@ def run(args) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     workload = WORKLOADS[args.workload](args.seed, args.profile, nproc, workdir)
     try:
-        setup_times, parts = [], []
+        setups, parts = [], []
         for rep in range(SETUP_REPS):
             if rep:
                 workload.teardown()
+            gc.collect()  # the previous set-up's garbage is not this one's cost
+            before = host_probe_ms()
             start = time.perf_counter()
             parts.append(workload.setup())
-            setup_times.append(time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            setups.append((elapsed, (before + host_probe_ms()) / 2))
         workload.setup_runs = parts
         workload.prepare()
-        for index in range(WARMUP_OPS):
-            workload.verify(workload.op(index, traced=False))
+        warmed, start = 0, time.perf_counter()
+        while warmed < WARMUP_OPS or time.perf_counter() - start < WARMUP_SECONDS:
+            workload.verify(workload.op(warmed, traced=False))
+            warmed += 1
+        # Set-up garbage is collected now, not inside a timed op, and the
+        # peak resident set restarts here: peak_rss_mb covers the measured
+        # ops only.
+        gc.collect()
+        pids = [os.getpid(), *workload.worker_pids]
+        for pid in pids:
+            reset_hwm(pid)
         plain_seconds = args.seconds / 2 if args.trace else args.seconds
-        plain = measure(workload, plain_seconds, False, WARMUP_OPS)
+        plain = measure(workload, plain_seconds, False, warmed)
+        rss_mb = sum(hwm_kib(pid) for pid in pids) / 1024.0
         traced = []
         if args.trace:
-            traced = measure(workload, args.seconds / 2, True, WARMUP_OPS + len(plain))
+            traced = measure(workload, args.seconds / 2, True, warmed + len(plain))
         workload.finish()
-        rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        rss_kib += sum(hwm_kib(pid) for pid in workload.worker_pids)
-        metrics, tail_info = end_to_end(workload, plain, setup_times, rss_kib / 1024.0)
+        metrics, tail_info = op_metrics(workload, plain, setups, rss_mb)
         guards = []
         if args.trace:
-            layers = {name: 0.0 for name in PER_LAYER}
+            units = metric_units("per_layer")
+            layers = {name: 0.0 for name in units}
             layers.update(workload.layer_metrics(traced))
+            # Op statistics listed here come from the run's untraced half.
+            layers.update({name: metrics[name] for name in units if name in metrics})
             traced_p50 = statistics.median(r.seconds for r in traced) * 1e3
-            layers["trace.overhead_ms"] = traced_p50 - metrics["op_p50_ms"]
+            layers["trace.overhead_ms"] = statistics.median(
+                at_ref_speed(r.seconds, r.host_ms) for r in traced
+            ) * 1e3 - metrics["op_p50_ms"]
             layers["failed_ratio"] = workload.failed / max(workload.attempted, 1)
             if args.workload == "mixed_batch":
                 # Against the traced ops' own p50: host noise between the
@@ -228,11 +280,12 @@ def run(args) -> int:
                 if abs(accounted - 1.0) > ACCOUNTING_TOLERANCE:
                     guards.append(
                         f"request build + serve account for {accounted:.1%} of "
-                        f"the traced op_p50_ms (tolerance {ACCOUNTING_TOLERANCE:.0%})"
+                        f"the traced median op (tolerance {ACCOUNTING_TOLERANCE:.0%})"
                     )
-            reported = {name: (layers[name], PER_LAYER[name]) for name in PER_LAYER}
+            reported = {name: (layers[name], unit) for name, unit in units.items()}
         else:
-            reported = {name: (metrics[name], END_TO_END[name]) for name in END_TO_END}
+            units = metric_units("end_to_end")
+            reported = {name: (metrics[name], unit) for name, unit in units.items()}
     finally:
         workload.teardown()
         shutil.rmtree(workdir, ignore_errors=True)
@@ -250,9 +303,10 @@ def run(args) -> int:
         "numpy": np.__version__,
         "sizes": workload.describe(),
         "setup_reps": SETUP_REPS,
-        "setup_s_each": setup_times,
+        "setup_s_each": [t for t, _ in setups],
+        "setup_host_ms": [h for _, h in setups],
         "setup_parts_s": {key: workload.setup_part(key) for key in parts[0]},
-        "warmup_ops": WARMUP_OPS,
+        "warmup_ops": warmed,
         "traced_ops": len(traced),
         "problems": workload.problems + guards,
         **tail_info,

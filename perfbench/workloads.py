@@ -48,11 +48,11 @@ from repro.serve.workers import ProcessShardRouter, decode_message, encode_messa
 SIZES: Dict[str, Dict[str, Dict[str, Any]]] = {
     "full": {
         "mixed": {"entries": 64, "n": 16_384, "k": 64, "shards": 4,
-                  "batch": 10_000, "zipf_s": 1.1, "pool": 4},
-        "cohort": {"members": 2_000, "n": 256, "shards": 4, "max_bytes": 400,
+                  "batch": 3_000, "zipf_s": 1.1, "pool": 4},
+        "cohort": {"members": 400, "n": 256, "shards": 4, "max_bytes": 400,
                    "budget_share": 0.25, "top_m": 8},
         "stream": {"entries": 2, "n": 1 << 18, "k": 32, "shards": 2,
-                   "window": 800_000, "prefill": 900_000, "extend": 200_000,
+                   "window": 400_000, "prefill": 450_000, "extend": 100_000,
                    "zipf_a": 1.3, "reads": 1_000, "phi": 0.05},
     },
     "smoke": {
@@ -200,6 +200,7 @@ class OpRecord:
     """What one op cost and what it returned (answers checked later)."""
 
     seconds: float
+    host_ms: float = 0.0  # host probe around the op (set by the runner)
     requests: int = 0
     samples: int = 0
     write_seconds: float = 0.0
@@ -384,7 +385,7 @@ def kernel_replay_ms(
 
 class MixedBatch(Workload):
     """64 merging entries (k=64) on a 4-shard router with warm tables, served
-    by the thread-pool front end; one op is one batch of 10,000 scalar
+    by the thread-pool front end; one op is one batch of 3,000 scalar
     requests whose entry names follow Zipf(1.1)."""
 
     name = "mixed_batch"
@@ -571,6 +572,9 @@ class MixedBatchProcess(MixedBatch):
         self.load_s = time.perf_counter() - start
         touch_files(self._store_dir)
         self.restarts0 = self.proc.restarts_total
+        # The in-process router only served the references; holding it
+        # would count in peak_rss_mb.
+        self.router = None
 
     def _serve(self, requests):
         return self.proc.serve(requests)
@@ -639,7 +643,7 @@ class MixedBatchProcess(MixedBatch):
 
 
 class CohortCold(Workload):
-    """A 2,000-member cohort registered with ``register_many``, saved and
+    """A 400-member cohort registered with ``register_many``, saved and
     reloaded lazily under a residency budget of a quarter of its hydrated
     bytes; one op is one group request over the whole cohort."""
 
@@ -847,17 +851,22 @@ def distinct_shard_names(count: int, shards: int) -> List[str]:
 
 
 class StreamRefresh(Workload):
-    """Two windowed streaming entries on 2 shards; one op extends each with
-    200k Zipf(1.3) samples, refreshes it, then serves a 1,000-request read
-    batch (with one heavy-hitters request per entry) on the new versions."""
+    """Two windowed streaming entries on 2 shards; one op extends one of them
+    (in turn) with 100k Zipf(1.3) samples, refreshes it, then serves a
+    1,000-request read batch (with one heavy-hitters request per entry)
+    that must see the new version."""
 
     name = "stream_refresh"
     family = "stream"
     # Refresh only when asked: extend() must not rebuild on its own, so
-    # each op runs exactly one merging build per entry.
+    # each op runs exactly one merging build.
     NO_AUTO_REFRESH_EPOCHS = 1 << 40
-    L2_OPS = 5
+    L2_OPS = 6
     SUPPORT_DRIFT = 0.10
+    # A refreshed merging histogram is the flattening of the window's
+    # empirical distribution over its own pieces: each piece's mass equals
+    # the window's share of samples in it, up to rounding.
+    MASS_TOL = 1e-9
 
     def __init__(self, seed, profile, nproc, workdir) -> None:
         super().__init__(seed, profile, nproc, workdir)
@@ -868,7 +877,6 @@ class StreamRefresh(Workload):
         self.prefill = [self._zipf(prefill_rng, s["prefill"]) for _ in self.names]
         self.rng = np.random.default_rng([self.seed, 5])
         self.router = self.frontend = None
-        self.shadows: Optional[List[WindowedStreamLearner]] = None
         self.l2_values: List[float] = []
         self.supports: List[float] = []
 
@@ -876,18 +884,14 @@ class StreamRefresh(Workload):
         s = self.sizes
         return self.perm[(rng.zipf(s["zipf_a"], count) - 1) % s["n"]]
 
-    def _learner(self) -> WindowedStreamLearner:
-        s = self.sizes
-        return WindowedStreamLearner(
-            s["n"], s["k"], s["window"], refresh_epochs=self.NO_AUTO_REFRESH_EPOCHS
-        )
-
     def setup(self) -> Dict[str, float]:
         s = self.sizes
         start = time.perf_counter()
         router = ShardRouter(num_shards=s["shards"])
         for name, samples in zip(self.names, self.prefill):
-            learner = self._learner()
+            learner = WindowedStreamLearner(
+                s["n"], s["k"], s["window"], refresh_epochs=self.NO_AUTO_REFRESH_EPOCHS
+            )
             learner.extend(samples)
             router.register_stream(name, learner, family="merging", k=s["k"])
         frontend = AsyncServingFrontend(
@@ -903,9 +907,18 @@ class StreamRefresh(Workload):
         self.router = self.frontend = None
 
     def prepare(self) -> None:
-        # The exact stream each entry has seen, newest last, for the
-        # window reference (trimmed to what the window can still hold).
+        # The exact stream each entry has seen, newest last (trimmed to what
+        # the window can still hold), its exact window counts, and the
+        # reference for the entry as served now.
         self.history = [[p] for p in self.prefill]
+        self.counts = [
+            self._window_counts(j, self.router[name].learner.window_total)
+            for j, name in enumerate(self.names)
+        ]
+        self.versions = [self.router[name].version for name in self.names]
+        self.F_rows = [
+            prefix_sums(self.router[name].synopsis.to_dense()) for name in self.names
+        ]
         self._counts = registry_counts(self.router.registry)
 
     def _read_inputs(self) -> MixedBatchInputs:
@@ -922,36 +935,36 @@ class StreamRefresh(Workload):
 
     def op(self, index: int, traced: bool) -> OpRecord:
         s = self.sizes
-        fresh = [self._zipf(self.rng, s["extend"]) for _ in self.names]
+        j = index % len(self.names)
+        name = self.names[j]
+        fresh = self._zipf(self.rng, s["extend"])
         reads = self._read_inputs()
         layers: Dict[str, float] = {}
         misses = registry_counts(self.router.registry)["misses"] if traced else 0.0
+        before = self.router[name].version
         start = time.perf_counter()
-        for name, samples in zip(self.names, fresh):
-            self.router.extend(name, samples)
+        self.router.extend(name, fresh)
         extended = time.perf_counter()
-        for name in self.names:
-            self.router.refresh(name)
+        entry = self.router.refresh(name)
         refreshed = time.perf_counter()
         if traced:
             # The table rebuild the read batch would pay, moved just ahead
             # of it so it can be timed on its own; the op's work is unchanged.
-            for name in self.names:
-                self.router.table_versioned(name)
+            self.router.table_versioned(name)
             layers["engine.table_fetch_ms"] = (time.perf_counter() - refreshed) * 1e3
         built_at = time.perf_counter()
         requests = build_requests(reads, self.names, STREAM_KINDS)
-        requests += [QueryRequest("heavy_hitters", name, (s["phi"],)) for name in self.names]
+        requests += [QueryRequest("heavy_hitters", n, (s["phi"],)) for n in self.names]
         served_at = time.perf_counter()
         results = self.frontend.serve(requests)
         done = time.perf_counter()
         record = OpRecord(
             seconds=done - start,
             requests=len(requests),
-            samples=sum(len(f) for f in fresh),
+            samples=len(fresh),
             write_seconds=refreshed - start,
             layers=layers,
-            payload=(reads, results, fresh),
+            payload=(j, fresh, before, entry.version, entry.synopsis, reads, results),
         )
         if traced:
             layers.update({
@@ -961,39 +974,24 @@ class StreamRefresh(Workload):
                 "serve_ms": (done - served_at) * 1e3,
                 "engine.table_builds": registry_counts(self.router.registry)["misses"] - misses,
             })
-            layers.update(self._trace_layers(reads, fresh))
+            layers.update(self._trace_layers(name, reads))
         return record
 
-    def _trace_layers(self, reads, fresh) -> Dict[str, float]:
-        s = self.sizes
+    def _trace_layers(self, name, reads) -> Dict[str, float]:
         out = {
             f"frontend.{k}_ms": v
             for k, v in span_ms(
                 self.frontend.last_trace, ("route", "coalesce", "evaluate", "reassemble")
             ).items()
         }
-        tables = [self.router.table_versioned(name)[1] for name in self.names]
+        tables = [self.router.table_versioned(n)[1] for n in self.names]
         out["engine.kernel_ms"] = kernel_replay_ms(reads, tables, STREAM_KINDS)
-        if self.shadows is None:
-            self.shadows = []
-            for samples in self.prefill:
-                shadow = self._learner()
-                shadow.extend(samples)
-                self.shadows.append(shadow)
+        empirical = self.router[name].learner.empirical()
         start = time.perf_counter()
-        for shadow, samples in zip(self.shadows, fresh):
-            shadow.extend(samples)
-        out["sampling.extend_ms"] = (time.perf_counter() - start) * 1e3
-        build_ms = 0.0
-        points = 0
-        for name in self.names:
-            empirical = self.router[name].learner.empirical()
-            points += len(empirical.indices)
-            start = time.perf_counter()
-            build_synopsis(empirical, "merging", s["k"])
-            build_ms += (time.perf_counter() - start) * 1e3
+        build_synopsis(empirical, "merging", self.sizes["k"])
+        build_ms = (time.perf_counter() - start) * 1e3
         out["builders.merge_build_ms"] = build_ms
-        out["builders.merge_points_per_s"] = points / (build_ms / 1e3) if build_ms else 0.0
+        out["builders.merge_points_per_s"] = len(empirical.indices) / (build_ms / 1e3)
         return out
 
     def _window_counts(self, j: int, window_total: int) -> np.ndarray:
@@ -1009,34 +1007,42 @@ class StreamRefresh(Workload):
         return np.bincount(recent, minlength=self.sizes["n"]).astype(np.float64)
 
     def verify(self, record: OpRecord) -> None:
-        reads, results, fresh = record.payload
+        j, fresh, before, version, synopsis, reads, results = record.payload
         record.payload = None
-        self.attempted += len(results) + 2 * len(self.names)  # reads + writes
+        self.attempted += len(results) + 2  # reads + the extend and refresh
+        name = self.names[j]
+        learner = self.router[name].learner
+        self.history[j].append(fresh)
+        counts = self.counts[j] = self._window_counts(j, learner.window_total)
+        # The refresh must publish a newer version, rebuilt from the window
+        # as it stands after this op's samples.
+        if version <= before:
+            self.fail(1, f"refresh of {name} kept version {before}")
+        self.versions[j] = version
+        dense = synopsis.to_dense()
+        self.F_rows[j] = prefix_sums(dense)
+        try:
+            masses = synopsis.piece_masses()
+            want = np.add.reduceat(counts, synopsis.partition.lefts) / counts.sum()
+            stale = masses.shape != want.shape or np.abs(masses - want).max() > self.MASS_TOL
+        except AttributeError:
+            stale = True
+        if stale:
+            self.fail(1, f"refreshed {name} does not summarize its live window")
+        if len(self.l2_values) < self.L2_OPS:
+            self.l2_values.append(l2_share(dense, counts / counts.sum()))
+        self.supports.append(float(learner.support_size))
         if len(results) != len(reads.kind) + len(self.names):
             self.fail(len(results), "read batch lost answers")
             return
-        F_rows, versions, support = [], [], []
-        for j, name in enumerate(self.names):
-            self.history[j].append(fresh[j])
-            entry = self.router[name]
-            version, synopsis = self.router.shard_of(name).store.snapshot(name)
-            learner = entry.learner
-            counts = self._window_counts(j, learner.window_total)
-            dense = synopsis.to_dense()
-            F_rows.append(prefix_sums(dense))
-            versions.append(version)
-            support.append(float(learner.support_size))
-            if len(self.l2_values) < self.L2_OPS * len(self.names):
-                self.l2_values.append(l2_share(dense, counts / counts.sum()))
-            self._check_heavy(results[len(reads.kind) + j], counts, learner)
-        self.supports.append(float(np.mean(support)))
-        scalar = results[: len(reads.kind)]
-        values, ok, got_versions = answer_arrays(scalar)
-        want_versions = np.array(versions)[reads.entry]
-        bad = ~ok | (got_versions != want_versions)
-        F = np.stack(F_rows)
+        for i, other in enumerate(self.names):
+            self._check_heavy(results[len(reads.kind) + i], self.counts[i],
+                              self.router[other].learner)
+        values, ok, got_versions = answer_arrays(results[: len(reads.kind)])
+        bad = ~ok | (got_versions != np.array(self.versions)[reads.entry])
         bad |= check_scalar_answers(
-            reads.kind, F, reads.entry, reads.a, reads.b, reads.q, values, STREAM_KINDS
+            reads.kind, np.stack(self.F_rows), reads.entry, reads.a, reads.b, reads.q,
+            values, STREAM_KINDS,
         )
         self.fail(int(bad.sum()), f"{int(bad.sum())} wrong or stale reads after refresh")
 
@@ -1054,10 +1060,14 @@ class StreamRefresh(Workload):
             self.fail(1, "heavy_hitters answer breaks the (phi - eps) guarantee")
 
     def finish(self) -> None:
-        if len(self.supports) >= 2:
-            first, last = self.supports[0], self.supports[-1]
-            if abs(last - first) > self.SUPPORT_DRIFT * first:
-                self.fail(1, f"window support drifted from {first:.0f} to {last:.0f}")
+        # Window support per entry at its first and at its last refresh.
+        first = self.supports[: len(self.names)]
+        last = self.supports[-len(self.names):]
+        if len(self.supports) >= 2 * len(self.names):
+            drift = abs(np.mean(last) - np.mean(first))
+            if drift > self.SUPPORT_DRIFT * np.mean(first):
+                self.fail(1, f"window support drifted from {np.mean(first):.0f} "
+                             f"to {np.mean(last):.0f}")
 
     def quality(self) -> float:
         return float(np.mean(self.l2_values))
@@ -1065,6 +1075,7 @@ class StreamRefresh(Workload):
     def layer_metrics(self, records) -> Dict[str, float]:
         kernel = median_of(records, "engine.kernel_ms")
         serve = median_of(records, "serve_ms")
+        extend = median_of(records, "store.extend_ms")
         out = {
             "frontend.request_build_ms": median_of(records, "frontend.request_build_ms"),
             "frontend.serve_ms": serve,
@@ -1076,11 +1087,13 @@ class StreamRefresh(Workload):
             "engine.kernel_ms": kernel,
             "engine.table_fetch_ms": median_of(records, "engine.table_fetch_ms"),
             "engine.table_builds": median_of(records, "engine.table_builds"),
-            "store.extend_ms": median_of(records, "store.extend_ms"),
+            "store.extend_ms": extend,
             "store.refresh_ms": median_of(records, "store.refresh_ms"),
             "builders.merge_build_ms": median_of(records, "builders.merge_build_ms"),
             "builders.merge_points_per_s": median_of(records, "builders.merge_points_per_s"),
-            "sampling.extend_ms": median_of(records, "sampling.extend_ms"),
+            # With auto-refresh off, ShardRouter.extend is the learner's
+            # extend plus a lock: the op's own extend time prices sampling.
+            "sampling.extend_ms": extend,
             "sampling.window_support": self.supports[-1] if self.supports else 0.0,
             "ingest_samples_per_s": (
                 sum(r.samples for r in records) / sum(r.write_seconds for r in records)
