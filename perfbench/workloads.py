@@ -1,13 +1,15 @@
 """The four workloads of the synopsis-serving benchmark.
 
 Each workload turns a seed into plain NumPy arrays (``__init__``, untimed),
-brings the program up through its public API (``setup``, timed as
+brings the program up through its public API (``setup``, priced as
 ``setup_s``), builds brute-force reference answers and warms the caches
 (``prepare``, untimed), and then runs closed-loop operations (``op``) from
 one client thread.  Only the calls into the program are timed; turning the
 generated arrays into ``QueryRequest`` objects happens inside the timed
-region because every caller pays for it.  ``verify`` checks each op's
-answers outside the timed region and counts mismatches.
+region because every caller pays for it.  Each op records its wall time
+and the CPU time the serving program spent on it (``program_cpu_seconds``).
+``verify`` checks each op's answers outside the timed region and counts
+mismatches.
 
 Per-layer timings are taken from outside the program: around the public
 calls, from the front end's ``last_trace`` spans, and from the existing
@@ -200,12 +202,27 @@ class OpRecord:
     """What one op cost and what it returned (answers checked later)."""
 
     seconds: float
-    host_ms: float = 0.0  # host probe around the op (set by the runner)
+    cpu_seconds: float
+    probe_ms: float = 0.0  # core probe around the op (set by the runner)
     requests: int = 0
     samples: int = 0
     write_seconds: float = 0.0
     layers: Dict[str, float] = field(default_factory=dict)
     payload: Any = None
+
+
+def program_cpu_seconds(worker_pids: Sequence[int]) -> float:
+    """CPU time the serving program has used so far: every thread of this
+    process plus every thread of its worker processes.
+
+    A worker's figure is read from Linux's process-wide CPU clock for its
+    pid (``CPUCLOCK_SCHED``, made as ``(~pid << 3) | 2``), which counts
+    nanoseconds of run time, like ``time.process_time`` does here.
+    """
+    total = time.process_time()
+    for pid in worker_pids:
+        total += time.clock_gettime((~pid << 3) | 2)
+    return total
 
 
 class Workload:
@@ -225,7 +242,13 @@ class Workload:
         self.problems: List[str] = []
         # One dict of timed set-up parts per set-up, filled by the runner.
         self.setup_runs: List[Dict[str, float]] = []
+        # Live worker processes of the program; their CPU time is the
+        # program's too.
         self.worker_pids: List[int] = []
+
+    def clock(self) -> Tuple[float, float]:
+        """Wall time and the program's CPU time, both in seconds."""
+        return time.perf_counter(), program_cpu_seconds(self.worker_pids)
 
     def setup(self) -> Dict[str, float]:
         raise NotImplementedError
@@ -452,13 +475,13 @@ class MixedBatch(Workload):
 
     def op(self, index: int, traced: bool) -> OpRecord:
         batch = self.batches[index % len(self.batches)]
-        start = time.perf_counter()
+        start, cpu0 = self.clock()
         requests = build_requests(batch, self.names, MIXED_KINDS)
         built = time.perf_counter()
         results = self._serve(requests)
-        done = time.perf_counter()
-        record = OpRecord(seconds=done - start, requests=len(requests),
-                          payload=(batch, results, index))
+        done, cpu1 = self.clock()
+        record = OpRecord(seconds=done - start, cpu_seconds=cpu1 - cpu0,
+                          requests=len(requests), payload=(batch, results, index))
         if traced:
             record.layers.update(self._trace_layers(batch, requests, results))
             record.layers["frontend.request_build_ms"] = (built - start) * 1e3
@@ -554,6 +577,7 @@ class MixedBatchProcess(MixedBatch):
         if self.proc is not None:
             self.proc.close()
         self.proc = self.router = None
+        self.worker_pids = []
         shutil.rmtree(self._store_dir, ignore_errors=True)
 
     def prepare(self) -> None:
@@ -730,10 +754,11 @@ class CohortCold(Workload):
         kind, args = self._args(index)
         before = registry_counts(self.router.registry) if traced else None
         evictions = self.manager.evictions
-        start = time.perf_counter()
+        start, cpu0 = self.clock()
         results = self.frontend.serve([QueryRequest(kind, self.COHORT, args)])
-        done = time.perf_counter()
-        record = OpRecord(seconds=done - start, requests=1, payload=(kind, args, results))
+        done, cpu1 = self.clock()
+        record = OpRecord(seconds=done - start, cpu_seconds=cpu1 - cpu0, requests=1,
+                          payload=(kind, args, results))
         if traced:
             after = registry_counts(self.router.registry)
             spans = span_ms(self.frontend.last_trace, ("evaluate_groups",))
@@ -942,7 +967,7 @@ class StreamRefresh(Workload):
         layers: Dict[str, float] = {}
         misses = registry_counts(self.router.registry)["misses"] if traced else 0.0
         before = self.router[name].version
-        start = time.perf_counter()
+        start, cpu0 = self.clock()
         self.router.extend(name, fresh)
         extended = time.perf_counter()
         entry = self.router.refresh(name)
@@ -957,9 +982,10 @@ class StreamRefresh(Workload):
         requests += [QueryRequest("heavy_hitters", n, (s["phi"],)) for n in self.names]
         served_at = time.perf_counter()
         results = self.frontend.serve(requests)
-        done = time.perf_counter()
+        done, cpu1 = self.clock()
         record = OpRecord(
             seconds=done - start,
+            cpu_seconds=cpu1 - cpu0,
             requests=len(requests),
             samples=len(fresh),
             write_seconds=refreshed - start,
