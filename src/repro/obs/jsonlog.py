@@ -2,10 +2,11 @@
 
 Log records under the ``repro`` logger hierarchy render as one JSON
 object per line (machine-parseable, greppable by field), carrying the
-current trace id automatically when a request trace is bound.  Nothing
-is configured at import time: call :func:`configure_json_logging` once
-from an entry point (the CLI does) to attach the handler; libraries just
-:func:`get_logger` and log.
+current trace id automatically when a request trace is bound.  The
+library is quiet by default: the ``repro`` logger carries only a
+``NullHandler``, so with no logging configured nothing reaches stderr.
+Call :func:`configure_json_logging` once from an entry point (the CLI
+does) to attach the handler; libraries just :func:`get_logger` and log.
 
 :class:`SlowQueryLog` is the query-latency tail surface: evaluations
 slower than the threshold are kept in a bounded ring (newest last) and
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 _ROOT = "repro"
+
+# The library convention: without it, logging's last-resort handler
+# would print every warning (the slow-query log's) to stderr.
+logging.getLogger(_ROOT).addHandler(logging.NullHandler())
 
 #: logging.LogRecord attributes that are plumbing, not payload; anything
 #: else found on a record (i.e. passed via ``extra=``) is emitted as a

@@ -20,6 +20,11 @@ into a queryable system:
 * :mod:`repro.serve.persistence` — durable store directories: JSON
   manifest + per-entry npz payloads, atomic replace, lazy hydration
   (``store.save(path)`` / ``SynopsisStore.load(path)``).
+* :mod:`repro.serve.kinds` — the query-kind table: one row per kind
+  (argument form, coalescible, group, source, table-level evaluator) and
+  the one dispatcher behind every layer's ``query(kind, name, *args)``;
+  the per-kind methods (``range_sum`` ... ``group_top_k``) are written
+  once over it.
 * :mod:`repro.serve.engine` — :class:`QueryEngine`, batched vectorized
   ``range_sum`` / ``range_mean`` / ``point_mass`` / ``cdf`` /
   ``quantile`` / ``top_k_buckets`` evaluation over the store, backed by
@@ -61,16 +66,14 @@ from .builders import (
     synopsis_size,
     synopsis_to_dict,
 )
-from .engine import (
+from .engine import CacheStats, PrefixTable, QueryEngine
+from .frontend import AsyncServingFrontend, QueryRequest, QueryResult
+from .kinds import (
     GROUP_QUERY_KINDS,
-    CacheStats,
-    PrefixTable,
-    QueryEngine,
     group_tables_range_mean,
     group_tables_range_sum,
     group_tables_top_k,
 )
-from .frontend import AsyncServingFrontend, QueryRequest, QueryResult
 from .planner import (
     BudgetInfeasibleError,
     BuildBudget,

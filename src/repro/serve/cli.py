@@ -104,6 +104,7 @@ from ..obs import (
 from ..sampling.windowed import WindowedStreamLearner
 from .builders import SYNOPSIS_FAMILIES
 from .engine import QueryEngine
+from .kinds import KINDS
 from .persistence import (
     DEFAULT_SEGMENT_SIZE,
     MMAP_SCHEMA_VERSION,
@@ -406,6 +407,32 @@ def _summary_line(meta: dict) -> str:
     return line
 
 
+#: Parameter shapes ``query`` draws random batched arguments for (see
+#: :func:`_random_args`).
+_RANDOM_PARAMS = (("a", "b"), ("x",), ("q",))
+
+#: ``query --kind`` choices: every single-entry kind it can drive — the
+#: pair and learner kinds set up their own partner / stream, table kinds
+#: need drawable arguments (top_k's bucket count is not one).
+_QUERY_CHOICES = [
+    name
+    for name, spec in KINDS.items()
+    if not spec.group and (spec.source != "table" or spec.params in _RANDOM_PARAMS)
+]
+
+
+def _random_args(params, rng: np.random.Generator, n: int, count: int) -> tuple:
+    """``count`` random query arguments over ``[0, n)``: ordered closed
+    ranges for ``(a, b)``, quantile levels for ``(q,)``, else positions."""
+    if params == ("a", "b"):
+        a = rng.integers(0, n, count)
+        b = rng.integers(0, n, count)
+        return np.minimum(a, b), np.maximum(a, b)
+    if params == ("q",):
+        return (rng.random(count),)
+    return (rng.integers(0, n, count),)
+
+
 def query_main(argv: Optional[Sequence[str]] = None) -> int:
     """One-shot batched query benchmark over a single synopsis."""
     parser = argparse.ArgumentParser(
@@ -422,15 +449,7 @@ def query_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--kind",
         default="range_sum",
-        choices=[
-            "range_sum",
-            "range_mean",
-            "point_mass",
-            "cdf",
-            "quantile",
-            "inner_product",
-            "heavy_hitters",
-        ],
+        choices=_QUERY_CHOICES,
         help="query kind; inner_product pairs the synopsis with a "
         "lossless 'exact' synopsis of the same dataset; heavy_hitters "
         "streams samples from the dataset distribution into a sliding "
@@ -458,23 +477,26 @@ def query_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.kind != "heavy_hitters" and (
+    spec = KINDS[args.kind]
+    learner_kinds = [k for k in _QUERY_CHOICES if KINDS[k].source == "learner"]
+    cohort_kinds = [k for k in _QUERY_CHOICES if f"group_{k}" in KINDS]
+    if args.kind not in learner_kinds and (
         args.window is not None or args.phi is not None
     ):
         # Mirror the serve --store-dir guard: accepting the flags and
         # silently benchmarking the plain synopsis path instead would
         # leave the user believing they measured a windowed entry.
         raise SystemExit(
-            f"error: --window/--phi only apply to --kind heavy_hitters, "
-            f"not {args.kind!r}"
+            f"error: --window/--phi only apply to --kind "
+            f"{'/'.join(learner_kinds)}, not {args.kind!r}"
         )
-    if args.cohort is not None and args.kind not in ("range_sum", "range_mean"):
+    if args.cohort is not None and args.kind not in cohort_kinds:
         raise SystemExit(
-            f"error: --cohort only applies to --kind range_sum/range_mean, "
-            f"not {args.kind!r}"
+            f"error: --cohort only applies to --kind "
+            f"{'/'.join(cohort_kinds)}, not {args.kind!r}"
         )
     values = _load_dataset(args.dataset, args.n, args.seed)
-    if args.kind == "heavy_hitters":
+    if args.kind in learner_kinds:
         return _heavy_hitters_query(args, values)
     if args.cohort is not None:
         return _cohort_query(args, values)
@@ -494,28 +516,16 @@ def query_main(argv: Optional[Sequence[str]] = None) -> int:
 
     rng = np.random.default_rng(args.seed + 1)
     n = entry.result.n
-    if args.kind == "inner_product":
+    if spec.source == "pair":
         reference = f"{args.dataset}#exact"
         store.register(reference, values, family="exact", k=1)
         run = lambda: [
-            engine.inner_product(args.dataset, reference)
+            engine.query(args.kind, args.dataset, reference)[0]
             for _ in range(args.num_queries)
         ]
-    elif args.kind in ("range_sum", "range_mean"):
-        a = rng.integers(0, n, args.num_queries)
-        b = rng.integers(0, n, args.num_queries)
-        a, b = np.minimum(a, b), np.maximum(a, b)
-        method = getattr(engine, args.kind)
-        run = lambda: method(args.dataset, a, b)
-    elif args.kind == "point_mass":
-        x = rng.integers(0, n, args.num_queries)
-        run = lambda: engine.point_mass(args.dataset, x)
-    elif args.kind == "cdf":
-        x = rng.integers(0, n, args.num_queries)
-        run = lambda: engine.cdf(args.dataset, x)
     else:
-        q = rng.random(args.num_queries)
-        run = lambda: engine.quantile(args.dataset, q)
+        query_args = _random_args(spec.params, rng, n, args.num_queries)
+        run = lambda: engine.query(args.kind, args.dataset, *query_args)[0]
 
     try:
         run()  # warm the prefix-table cache
@@ -573,15 +583,11 @@ def _cohort_query(args: argparse.Namespace, values: np.ndarray) -> int:
     a = rng.integers(0, n, args.num_queries)
     b = rng.integers(0, n, args.num_queries)
     a, b = np.minimum(a, b), np.maximum(a, b)
-    method = (
-        engine.group_range_sum
-        if args.kind == "range_sum"
-        else engine.group_range_mean
-    )
+    group_kind = f"group_{args.kind}"
     try:
-        method(names, a, b)  # warm the prefix-table cache
+        engine.query(group_kind, names, a, b)  # warm the prefix-table cache
         with timer() as timed:
-            answers, _versions = method(names, a, b)
+            answers, _versions = engine.query(group_kind, names, a, b)
         elapsed = timed.seconds
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
@@ -597,7 +603,7 @@ def _cohort_query(args: argparse.Namespace, values: np.ndarray) -> int:
     print(line)
     shown = np.atleast_1d(answers)[: args.show]
     print(
-        f"group_{args.kind} x {args.num_queries}: first {shown.size} answers: "
+        f"{group_kind} x {args.num_queries}: first {shown.size} answers: "
         + " ".join(f"{v:.6g}" for v in shown)
     )
     qps = args.num_queries / max(elapsed, 1e-12)
@@ -678,6 +684,48 @@ def _print_answer(out, value) -> None:
         print(f"{value:.12g}", file=out)
     else:
         print(value, file=out)
+
+
+def _print_buckets(out, buckets) -> None:
+    for left, right, mass in buckets:
+        print(f"[{left}, {right}] mass={mass:.12g}", file=out)
+
+
+def _print_hitters(out, hitters) -> None:
+    if not hitters:
+        print("(no heavy hitters)", file=out)
+    for pos, count in hitters:
+        print(f"{pos}: count>={count}", file=out)
+
+
+#: REPL verb -> (query kind, answer printer): the one place the CLI names
+#: kinds.  ``group <verb> ...`` takes the group kinds.
+_VERBS = {
+    "range": ("range_sum", _print_answer),
+    "mean": ("range_mean", _print_answer),
+    "point": ("point_mass", _print_answer),
+    "cdf": ("cdf", _print_answer),
+    "quantile": ("quantile", _print_answer),
+    "topk": ("top_k", _print_buckets),
+    "inner": ("inner_product", _print_answer),
+    "heavy": ("heavy_hitters", _print_hitters),
+}
+_GROUP_VERBS = {
+    "sum": ("group_range_sum", _print_answer),
+    "mean": ("group_range_mean", _print_answer),
+    "topk": ("group_top_k", _print_buckets),
+}
+
+#: How a REPL word becomes a query argument, by the kind's parameter name.
+_ARG_PARSERS = {
+    "a": int, "b": int, "x": int, "m": int, "q": float, "phi": float, "name_b": str,
+}
+
+
+def _parse_args(kind: str, words: Sequence[str]) -> list:
+    """The kind's arguments from REPL words (a short list fails arity)."""
+    params = KINDS[kind].params
+    return [_ARG_PARSERS[param](word) for param, word in zip(params, words)]
 
 
 def _print_cache_info(out, info: dict) -> None:
@@ -803,9 +851,8 @@ def serve_main(
         f"serving {len(router)} synopses of {source} on "
         f"{router.num_shards} shard(s){workers_note} "
         f"({', '.join(router.names())}); "
-        f"commands: range mean point cdf quantile topk inner heavy group "
-        f"cohort summary inspect plan shards cache metrics rebalance save "
-        f"quit",
+        f"commands: {' '.join(_VERBS)} group cohort summary inspect plan "
+        f"shards cache metrics rebalance save quit",
         file=out,
     )
     processes = isinstance(router, ProcessShardRouter)
@@ -933,42 +980,31 @@ def serve_main(
                 else:
                     for line in plan.explain():
                         print(line, file=out)
-            elif cmd == "inner":
-                _print_answer(out, router.inner_product(words[1], words[2]))
-            elif cmd == "heavy":
-                name, phi = words[1], float(words[2])
-                hitters = router.heavy_hitters(name, phi)
-                if not hitters:
-                    print("(no heavy hitters)", file=out)
-                for pos, count in hitters:
-                    print(f"{pos}: count>={count}", file=out)
+            elif cmd in _VERBS:
+                kind, show = _VERBS[cmd]
+                value, _version = router.query(
+                    kind, words[1], *_parse_args(kind, words[2:])
+                )
+                show(out, value)
             elif cmd == "group":
                 sub = words[1].lower()
-                if sub in {"sum", "mean"}:
-                    a, b = int(words[2]), int(words[3])
-                    # One trailing word resolves as a cohort name (or a
-                    # comma list); several words are the members inline.
-                    spec = words[4:] if len(words) > 5 else words[4]
-                    method = (
-                        router.group_range_sum
-                        if sub == "sum"
-                        else router.group_range_mean
-                    )
-                    value, versions = method(spec, a, b)
-                    _print_answer(out, value)
-                    print(f"  group of {len(versions)} member(s)", file=out)
-                elif sub == "topk":
-                    m = int(words[2])
-                    spec = words[3:] if len(words) > 4 else words[3]
-                    buckets, versions = router.group_top_k(spec, m)
-                    for left, right, mass in buckets:
-                        print(f"[{left}, {right}] mass={mass:.12g}", file=out)
-                    print(f"  group of {len(versions)} member(s)", file=out)
-                else:
+                if sub not in _GROUP_VERBS:
                     raise ValueError(
                         f"unknown group query {sub!r} "
-                        f"(expected sum, mean, or topk)"
+                        f"(expected {', '.join(_GROUP_VERBS)})"
                     )
+                kind, show = _GROUP_VERBS[sub]
+                arity = KINDS[kind].arity
+                # One trailing word resolves as a cohort name (or a comma
+                # list); several words are the members inline.
+                members = words[2 + arity :]
+                value, versions = router.query(
+                    kind,
+                    members if len(members) > 1 else members[0],
+                    *_parse_args(kind, words[2 : 2 + arity]),
+                )
+                show(out, value)
+                print(f"  group of {len(versions)} member(s)", file=out)
             elif cmd == "cohort":
                 if len(words) == 1:
                     cohorts = router.cohorts()
@@ -987,25 +1023,6 @@ def serve_main(
                     print(
                         f"cohort {words[1]}: {', '.join(words[2:])}", file=out
                     )
-            elif cmd == "range":
-                name, a, b = words[1], int(words[2]), int(words[3])
-                _print_answer(out, router.range_sum(name, a, b))
-            elif cmd == "mean":
-                name, a, b = words[1], int(words[2]), int(words[3])
-                _print_answer(out, router.range_mean(name, a, b))
-            elif cmd == "point":
-                name, x = words[1], int(words[2])
-                _print_answer(out, router.point_mass(name, x))
-            elif cmd == "cdf":
-                name, x = words[1], int(words[2])
-                _print_answer(out, router.cdf(name, x))
-            elif cmd == "quantile":
-                name, q = words[1], float(words[2])
-                _print_answer(out, router.quantile(name, q))
-            elif cmd == "topk":
-                name, m = words[1], int(words[2])
-                for left, right, mass in router.top_k_buckets(name, m):
-                    print(f"[{left}, {right}] mass={mass:.12g}", file=out)
             else:
                 print(f"unknown command {cmd!r}", file=out)
         except (

@@ -38,6 +38,16 @@ from ..core.intervals import initial_partition
 from ..core.piecewise_poly import PiecewisePolynomial
 from ..core.sparse import SparseFunction
 from ..obs.metrics import Counter, MetricsRegistry
+from .kinds import (
+    GROUP_QUERY_KINDS,
+    QUERY_KINDS,
+    QueryMethods,
+    group_tables_range_mean,
+    group_tables_range_sum,
+    group_tables_top_k,
+    query_kind,
+    run_query,
+)
 from .store import SynopsisStore
 
 __all__ = [
@@ -51,13 +61,6 @@ __all__ = [
 ]
 
 ArrayLike = Union[int, float, np.ndarray]
-
-#: Query kinds that evaluate over a *set* of entries (a cohort) instead
-#: of one.  They ride the mergeable-summaries property: prefix integrals
-#: sum exactly across members, so the group answer equals the member-wise
-#: sum/merge with no approximation beyond each member's own synopsis.
-GROUP_QUERY_KINDS = ("group_range_sum", "group_range_mean", "group_top_k")
-
 
 class PrefixTable:
     """Query operations over one synopsis's :class:`PiecewisePrefix` table.
@@ -280,80 +283,6 @@ class PrefixTable:
         return float(np.dot(self.point_mass(xs), other.point_mass(xs)))
 
 
-# --------------------------------------------------------------------- #
-# Group-by closed forms (shared by QueryEngine and ShardRouter)
-# --------------------------------------------------------------------- #
-
-
-def group_tables_range_sum(
-    tables: List[PrefixTable], a: ArrayLike, b: ArrayLike
-) -> Union[float, np.ndarray]:
-    """``sum_{member} sum_{i in [a, b]} f_member(i)`` over closed ranges.
-
-    Exact by linearity of the prefix integral: the group's range sum is
-    the plain sum of member range sums, reduced in member order — so the
-    result is bitwise equal to what a caller summing the member-wise
-    answers themselves would compute.
-    """
-    if not tables:
-        raise ValueError("group queries need at least one member")
-    total = tables[0].range_sum(a, b)
-    for table in tables[1:]:
-        total = total + table.range_sum(a, b)
-    return total
-
-
-def group_tables_range_mean(
-    tables: List[PrefixTable], a: ArrayLike, b: ArrayLike
-) -> Union[float, np.ndarray]:
-    """Mean of the *pooled* mass over ``[a, b]``: group sum / range length.
-
-    Note the denominator is the range length, not members x length — the
-    group is treated as one pooled series, matching how a cohort's summed
-    prefix table would answer ``range_mean``.
-    """
-    sums = group_tables_range_sum(tables, a, b)
-    lengths = np.asarray(b, dtype=np.int64) - np.asarray(a, dtype=np.int64) + 1
-    out = sums / lengths.astype(np.float64)
-    return float(out) if np.ndim(a) == 0 and np.ndim(b) == 0 else out
-
-
-def group_tables_top_k(
-    tables: List[PrefixTable], m: int
-) -> List[Tuple[int, int, float]]:
-    """The ``m`` heaviest pieces of the group's merged partition.
-
-    The members' piece boundaries are merged (union of left endpoints);
-    on each merged segment every member is summed exactly via its own
-    range sum, so the returned ``(left, right, mass)`` triples are the
-    heaviest segments of the pooled distribution — the group analogue of
-    :meth:`PrefixTable.top_k_buckets`, mass-descending with stable ties.
-    All members must share one domain length.
-    """
-    if not tables:
-        raise ValueError("group queries need at least one member")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    n = tables[0].n
-    for table in tables[1:]:
-        if table.n != n:
-            raise ValueError(
-                f"group top-k needs matching domains, got n={n} and n={table.n}"
-            )
-    lefts = np.unique(
-        np.concatenate([table.prefix.lefts for table in tables])
-    )
-    rights = np.append(lefts[1:] - 1, n - 1)
-    masses = tables[0].range_sum(lefts, rights)
-    for table in tables[1:]:
-        masses = masses + table.range_sum(lefts, rights)
-    masses = np.atleast_1d(np.asarray(masses, dtype=np.float64))
-    order = np.argsort(-masses, kind="stable")[:m]
-    return [
-        (int(lefts[u]), int(rights[u]), float(masses[u])) for u in order
-    ]
-
-
 class CacheStats:
     """Counters for the engine's prefix-table cache.
 
@@ -429,7 +358,7 @@ class CacheStats:
         }
 
 
-class QueryEngine:
+class QueryEngine(QueryMethods):
     """Batched queries over a :class:`SynopsisStore`.
 
     All query methods are array-in/array-out NumPy operations; scalar
@@ -441,16 +370,7 @@ class QueryEngine:
     #: Every query kind the engine answers; each gets a latency histogram
     #: and a call counter in the registry, labeled ``kind=...`` (plus the
     #: engine's own labels, e.g. its shard index).
-    QUERY_KINDS = (
-        "range_sum",
-        "range_mean",
-        "point_mass",
-        "cdf",
-        "quantile",
-        "top_k",
-        "inner_product",
-        "heavy_hitters",
-    ) + GROUP_QUERY_KINDS
+    QUERY_KINDS = QUERY_KINDS
 
     def __init__(
         self,
@@ -540,17 +460,13 @@ class QueryEngine:
             )
         return stats
 
-    def _record(self, kind: str, start: float) -> None:
-        self.observe_query(kind, time.perf_counter() - start)
-
     def observe_query(self, kind: str, seconds: float) -> None:
         """Record one query evaluation into the per-kind latency series.
 
-        The engine's own query methods call this implicitly; the serving
-        front end calls it for evaluations on its direct-table fast path
-        (which fetches ``table_versioned`` and evaluates the table
-        itself), so per-kind series stay complete regardless of the path
-        a query took.
+        :meth:`query` calls this implicitly; the shard router calls it
+        for pair and group kinds, which it evaluates on its own thread
+        over tables from several shards, so per-kind series stay complete
+        regardless of the path a query took.
         """
         histogram, counter = self._instruments[kind]
         histogram.observe(seconds)
@@ -662,133 +578,20 @@ class QueryEngine:
     # Queries
     # ------------------------------------------------------------------ #
 
-    def range_sum(self, name: str, a: ArrayLike, b: ArrayLike):
-        """Batched ``sum_{i in [a, b]}`` over closed ranges of entry ``name``."""
-        start = time.perf_counter()
-        try:
-            return self.table(name).range_sum(a, b)
-        finally:
-            self._record("range_sum", start)
+    def resolve_members(self, spec: Any) -> List[str]:
+        """Member names for a group query over this engine's store."""
+        return self.store.resolve_members(spec)
 
-    def range_mean(self, name: str, a: ArrayLike, b: ArrayLike):
-        """Batched mean over closed ranges ``[a, b]`` of entry ``name``."""
-        start = time.perf_counter()
-        try:
-            return self.table(name).range_mean(a, b)
-        finally:
-            self._record("range_mean", start)
+    def query(self, kind: str, name: Any, *args: Any) -> Tuple[Any, Any]:
+        """One query of any kind: ``(value, version)``.
 
-    def point_mass(self, name: str, x: ArrayLike):
-        """Batched point evaluation of entry ``name``."""
-        start = time.perf_counter()
-        try:
-            return self.table(name).point_mass(x)
-        finally:
-            self._record("point_mass", start)
-
-    def cdf(self, name: str, x: ArrayLike):
-        """Batched normalized CDF of entry ``name``."""
-        start = time.perf_counter()
-        try:
-            return self.table(name).cdf(x)
-        finally:
-            self._record("cdf", start)
-
-    def quantile(self, name: str, q: ArrayLike):
-        """Batched quantile positions of entry ``name``."""
-        start = time.perf_counter()
-        try:
-            return self.table(name).quantile(q)
-        finally:
-            self._record("quantile", start)
-
-    def top_k_buckets(self, name: str, m: int) -> List[Tuple[int, int, float]]:
-        """The ``m`` heaviest pieces of entry ``name``."""
-        start = time.perf_counter()
-        try:
-            return self.table(name).top_k_buckets(m)
-        finally:
-            self._record("top_k", start)
-
-    def inner_product(self, name_a: str, name_b: str) -> float:
-        """``<f_a, f_b>`` between two stored synopses on the same domain."""
-        start = time.perf_counter()
-        try:
-            return self.table(name_a).inner_product(self.table(name_b))
-        finally:
-            self._record("inner_product", start)
-
-    # ------------------------------------------------------------------ #
-    # Group-by queries (cohorts over this engine's own store)
-    # ------------------------------------------------------------------ #
-
-    def _group_tables(
-        self, names: Any
-    ) -> Tuple[List[PrefixTable], Dict[str, int]]:
-        """Per-member ``(table, version)`` fetches for a group query.
-
-        ``names`` may be an explicit member list or a string spec the
-        store resolves (cohort name, comma list, or bare entry name) —
-        never iterated character-wise.  Each member goes through
-        :meth:`table_versioned`, so the group answer is assembled from
-        per-member *consistent* snapshots; the returned versions dict is
-        what callers report per answer.
+        ``version`` is the snapshot version the answer was computed from
+        (for group kinds, the ``{member: version}`` dict).  The latency
+        lands in the kind's series even when the query fails.
         """
-        names = self.store.resolve_members(names)
-        if not names:
-            raise ValueError("group queries need at least one member")
-        tables: List[PrefixTable] = []
-        versions: Dict[str, int] = {}
-        for name in names:
-            version, table = self.table_versioned(name)
-            tables.append(table)
-            versions[name] = version
-        return tables, versions
-
-    def group_range_sum(
-        self, names: List[str], a: ArrayLike, b: ArrayLike
-    ) -> Tuple[Union[float, np.ndarray], Dict[str, int]]:
-        """Pooled range sum over a member set; returns (value, versions)."""
+        spec = query_kind(kind)
         start = time.perf_counter()
         try:
-            tables, versions = self._group_tables(names)
-            return group_tables_range_sum(tables, a, b), versions
+            return run_query(self, spec, name, args)
         finally:
-            self._record("group_range_sum", start)
-
-    def group_range_mean(
-        self, names: List[str], a: ArrayLike, b: ArrayLike
-    ) -> Tuple[Union[float, np.ndarray], Dict[str, int]]:
-        """Pooled range mean over a member set; returns (value, versions)."""
-        start = time.perf_counter()
-        try:
-            tables, versions = self._group_tables(names)
-            return group_tables_range_mean(tables, a, b), versions
-        finally:
-            self._record("group_range_mean", start)
-
-    def group_top_k(
-        self, names: List[str], m: int
-    ) -> Tuple[List[Tuple[int, int, float]], Dict[str, int]]:
-        """Heaviest merged-partition pieces of the pooled member set."""
-        start = time.perf_counter()
-        try:
-            tables, versions = self._group_tables(names)
-            return group_tables_top_k(tables, int(m)), versions
-        finally:
-            self._record("group_top_k", start)
-
-    def heavy_hitters(self, name: str, phi: float) -> List[Tuple[int, int]]:
-        """Sliding-window ``phi``-heavy hitters of entry ``name``.
-
-        Unlike every other query kind this does not go through the prefix
-        table: the answer comes from the entry's live windowed learner
-        (see :meth:`SynopsisStore.heavy_hitters`), so it reflects samples
-        absorbed since the last refresh too.  Raises :exc:`ValueError`
-        for entries not backed by a windowed stream.
-        """
-        start = time.perf_counter()
-        try:
-            return self.store.heavy_hitters(name, phi)
-        finally:
-            self._record("heavy_hitters", start)
+            self.observe_query(kind, time.perf_counter() - start)

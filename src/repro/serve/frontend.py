@@ -52,52 +52,14 @@ from ..obs.jsonlog import SlowQueryLog
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceContext, span
 from .persistence import StoreCorruptionError
+from .kinds import KINDS, query_kind
 from .router import Shard, ShardRouter
 from .store import StoreEntry
 
 __all__ = ["QUERY_KINDS", "AsyncServingFrontend", "QueryRequest", "QueryResult"]
 
-# kind -> expected args shape.  The single source of truth: arities
-# (QUERY_KINDS) and error-message forms both derive from it, so a new
-# kind cannot update one and silently miss the other.
-_ARG_FORMS: Dict[str, str] = {
-    "range_sum": "(a, b)",
-    "range_mean": "(a, b)",
-    "point_mass": "(x,)",
-    "cdf": "(x,)",
-    "quantile": "(q,)",
-    "top_k": "(m,)",
-    # args = (name_b,): the second stored synopsis to pair with.  Routed
-    # by name_a's shard; the pairing itself may cross shards.
-    "inner_product": "(name_b,)",
-    # args = (phi,): sliding-window heavy hitters of a windowed
-    # streaming entry (answered by the live learner, not a prefix table).
-    "heavy_hitters": "(phi,)",
-    # Group-by kinds: ``name`` addresses a member *set* — a registered
-    # cohort name, a comma-separated name list, or one entry name (see
-    # ShardRouter.resolve_members).  The answer's ``version`` is a
-    # ``{member: version}`` dict, one snapshot version per member.
-    "group_range_sum": "(a, b)",
-    "group_range_mean": "(a, b)",
-    "group_top_k": "(m,)",
-}
-
-# Kinds served by the router's cross-shard group fan-out rather than a
-# single shard's engine.
-_GROUP_KINDS = ("group_range_sum", "group_range_mean", "group_top_k")
-
-# kind -> number of positional query arguments
-QUERY_KINDS: Dict[str, int] = {
-    kind: sum(1 for name in form.strip("()").split(",") if name.strip())
-    for kind, form in _ARG_FORMS.items()
-}
-
-# Kinds whose array arguments can be concatenated across requests and the
-# stacked answer split back per request.  top_k returns a bucket list per
-# request (inner_product pairs two entries, heavy_hitters returns a
-# hitter list from the live learner), so those always evaluate
-# individually.
-_COALESCIBLE = ("range_sum", "range_mean", "point_mass", "cdf", "quantile")
+#: kind -> number of positional query arguments (a view of the kind table).
+QUERY_KINDS: Dict[str, int] = {name: spec.arity for name, spec in KINDS.items()}
 
 _REQUEST_ERRORS = (KeyError, ValueError, IndexError, TypeError, StoreCorruptionError)
 
@@ -111,11 +73,7 @@ class QueryRequest:
     args: Tuple[Any, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in QUERY_KINDS:
-            raise ValueError(
-                f"unknown query kind {self.kind!r}; "
-                f"supported: {', '.join(QUERY_KINDS)}"
-            )
+        spec = query_kind(self.kind)
         # Normalize args to a tuple of positional arguments up front.  A
         # dict or a string has a len() too, so without this check a
         # request like args={"q": 0.5} or args="ab" would sail past the
@@ -124,7 +82,7 @@ class QueryRequest:
         if isinstance(self.args, (str, bytes)) or isinstance(self.args, Mapping):
             raise TypeError(
                 f"args must be a tuple of positional arguments "
-                f"(e.g. {self._positional_form()}), got "
+                f"(e.g. {spec.form}), got "
                 f"{type(self.args).__name__} {self.args!r}"
             )
         try:
@@ -132,18 +90,10 @@ class QueryRequest:
         except TypeError:
             raise TypeError(
                 f"args must be a tuple of positional arguments "
-                f"(e.g. {self._positional_form()}), got "
+                f"(e.g. {spec.form}), got "
                 f"{type(self.args).__name__}"
             ) from None
-        if len(self.args) != QUERY_KINDS[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {QUERY_KINDS[self.kind]} positional "
-                f"argument(s) {self._positional_form()}, got {len(self.args)}"
-            )
-
-    def _positional_form(self) -> str:
-        """The expected ``args`` shape for this kind, for error messages."""
-        return _ARG_FORMS[self.kind]
+        spec.check_arity(self.args)
 
 
 @dataclass
@@ -164,12 +114,6 @@ class QueryResult:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-def _evaluate(table, kind: str, args: Tuple[Any, ...]):
-    if kind == "top_k":
-        return table.top_k_buckets(int(args[0]))
-    return getattr(table, kind)(*args)
 
 
 class AsyncServingFrontend:
@@ -303,7 +247,7 @@ class AsyncServingFrontend:
         carry), top_k, inner_product — goes to the primary.
         """
         shard_map = self.router.shard_map
-        if request.kind in _COALESCIBLE:
+        if KINDS[request.kind].coalescible:
             placements = shard_map.placements_of(request.name)
             if len(placements) > 1:
                 return placements[next(self._rr) % len(placements)]
@@ -390,7 +334,7 @@ class AsyncServingFrontend:
             by_shard: Dict[int, List[Tuple[int, QueryRequest]]] = {}
             group_items: List[Tuple[int, QueryRequest]] = []
             for index, request in indexed:
-                if request.kind in _GROUP_KINDS:
+                if KINDS[request.kind].group:
                     # Group kinds span shards; they run as their own
                     # pool job instead of landing on any one shard.
                     group_items.append((index, request))
@@ -522,8 +466,8 @@ class AsyncServingFrontend:
         """
         try:
             members = self.router.resolve_members(request.name)
-            value, versions = getattr(self.router, request.kind)(
-                members, *request.args
+            value, versions = self.router.query(
+                request.kind, members, *request.args
             )
         except _REQUEST_ERRORS as exc:
             return QueryResult(
@@ -579,7 +523,7 @@ class AsyncServingFrontend:
                     # incorrectly — serve those one by one instead.
                     if (
                         self.coalesce
-                        and request.kind in _COALESCIBLE
+                        and KINDS[request.kind].coalescible
                         and all(np.ndim(arg) <= 1 for arg in request.args)
                     ):
                         groups.setdefault(
@@ -630,60 +574,28 @@ class AsyncServingFrontend:
     def _serve_one(
         self, shard: Shard, index: int, request: QueryRequest, _hops: int = 0
     ) -> QueryResult:
+        kind, name, args = request.kind, request.name, request.args
         try:
-            if request.kind == "heavy_hitters":
-                # Answered by the entry's live windowed learner, not a
-                # prefix table; the reported version is the entry's
-                # current synopsis version (the learner is always ahead
-                # of or equal to it).
-                value = shard.engine.heavy_hitters(
-                    request.name, float(request.args[0])
-                )
-                version = shard.store[request.name].version
-                return QueryResult(
-                    index=index,
-                    name=request.name,
-                    kind=request.kind,
-                    value=value,
-                    version=version,
-                )
-            version, table = shard.engine.table_versioned(request.name)
-            fallback = self._replica_fallback(shard, request.name, version)
-            if fallback is not None:
-                shard = fallback
-                version, table = shard.engine.table_versioned(request.name)
-            start = time.perf_counter()
-            try:
-                if request.kind == "inner_product":
-                    # The partner entry may live on another shard; pair
-                    # its table from that shard's engine.  The reported
-                    # version is the primary (routed) entry's snapshot.
-                    partner = str(request.args[0])
-                    value = table.inner_product(
-                        self.router.table_versioned(partner)[1]
-                    )
-                else:
-                    value = _evaluate(table, request.kind, request.args)
-            finally:
-                # The direct-table path skips the engine's query methods,
-                # so feed its per-kind latency series explicitly.
-                shard.engine.observe_query(
-                    request.kind, time.perf_counter() - start
-                )
+            if KINDS[kind].coalescible:
+                # Replica-servable: answer on the routed shard, recomputing
+                # on the primary if that snapshot trails it.
+                value, version = shard.engine.query(kind, name, *args)
+                fallback = self._replica_fallback(shard, name, version)
+                if fallback is not None:
+                    shard = fallback
+                    value, version = shard.engine.query(kind, name, *args)
+            else:
+                # Primary-only kinds; a pair's partner may live on another
+                # shard, which the router resolves.
+                value, version = self.router.query(kind, name, *args)
         except _REQUEST_ERRORS as exc:
-            retry = self._migration_target(shard, request.name, exc)
+            retry = self._migration_target(shard, name, exc)
             if retry is not None and _hops < 4:
                 self._c_migrated_retries.inc()
                 return self._serve_one(retry, index, request, _hops + 1)
-            return QueryResult(
-                index=index, name=request.name, kind=request.kind, error=str(exc)
-            )
+            return QueryResult(index=index, name=name, kind=kind, error=str(exc))
         return QueryResult(
-            index=index,
-            name=request.name,
-            kind=request.kind,
-            value=value,
-            version=version,
+            index=index, name=name, kind=kind, value=value, version=version
         )
 
     def _serve_coalesced(
@@ -697,28 +609,11 @@ class AsyncServingFrontend:
         """One vectorized call for same-(name, kind) requests, split back.
 
         All answers in the group share one table snapshot, hence one
-        version.  If the stacked call fails (one request holds an invalid
-        position), every request is retried individually so only the
-        offender reports an error.
+        version (and one engine-side latency observation: the coalescing
+        win shows up as fewer, slightly fatter samples).  If the stacked
+        call fails (one request holds an invalid position), every request
+        is retried individually so only the offender reports an error.
         """
-        try:
-            version, table = shard.engine.table_versioned(name)
-        except _REQUEST_ERRORS as exc:
-            retry = self._migration_target(shard, name, exc)
-            if retry is not None and _hops < 4:
-                self._c_migrated_retries.inc()
-                return self._serve_coalesced(retry, name, kind, group, _hops + 1)
-            return [
-                QueryResult(index=i, name=name, kind=kind, error=str(exc))
-                for i, _ in group
-            ]
-        fallback = self._replica_fallback(shard, name, version)
-        if fallback is not None:
-            shard = fallback
-            try:
-                version, table = shard.engine.table_versioned(name)
-            except _REQUEST_ERRORS:
-                return [self._serve_one(shard, i, r) for i, r in group]
         # Broadcast each request's own arguments against each other BEFORE
         # concatenating across requests: a request like (scalar a, array b)
         # must occupy the same positions in every stacked argument, or
@@ -738,17 +633,20 @@ class AsyncServingFrontend:
         ]
         stacked_args = tuple(
             np.concatenate([broadcast[position] for broadcast in per_request])
-            for position in range(QUERY_KINDS[kind])
+            for position in range(len(per_request[0]))
         )
-        start = time.perf_counter()
         try:
-            stacked = _evaluate(table, kind, stacked_args)
-        except _REQUEST_ERRORS:
+            stacked, version = shard.engine.query(kind, name, *stacked_args)
+            fallback = self._replica_fallback(shard, name, version)
+            if fallback is not None:
+                shard = fallback
+                stacked, version = shard.engine.query(kind, name, *stacked_args)
+        except _REQUEST_ERRORS as exc:
+            retry = self._migration_target(shard, name, exc)
+            if retry is not None and _hops < 4:
+                self._c_migrated_retries.inc()
+                return self._serve_coalesced(retry, name, kind, group, _hops + 1)
             return [self._serve_one(shard, i, req) for i, req in group]
-        finally:
-            # One stacked evaluation = one engine-side observation; the
-            # coalescing win shows up as fewer, slightly fatter samples.
-            shard.engine.observe_query(kind, time.perf_counter() - start)
         results = []
         offsets = np.cumsum([0] + lengths)
         for g, (index, _) in enumerate(group):

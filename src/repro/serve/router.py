@@ -41,12 +41,13 @@ from ..core.serialize import check_payload_tag
 from ..core.sparse import SparseFunction
 from ..obs.metrics import MetricsRegistry
 from ..sampling.streaming import StreamingHistogramLearner
-from .engine import (
-    PrefixTable,
-    QueryEngine,
-    group_tables_range_mean,
-    group_tables_range_sum,
-    group_tables_top_k,
+from .engine import PrefixTable, QueryEngine
+from .kinds import (
+    QueryMethods,
+    check_entry_name,
+    query_kind,
+    resolve_members,
+    run_query,
 )
 from .planner import BuildBudget, BuildPlan, plan_cohort
 from .store import StoreEntry, SynopsisStore, duplicate_entry_message
@@ -134,9 +135,15 @@ class ShardMap:
         return stable_shard(name, self.num_shards) if existing is None else existing
 
     def assign(self, name: str) -> int:
-        """Record (and return) the shard assignment for ``name``."""
+        """Record (and return) the shard assignment for ``name``.
+
+        A name new to the map must be addressable by a group spec (see
+        :func:`~repro.serve.kinds.check_entry_name`); every registration
+        records its assignment here first.
+        """
         shard = self.shard_of(name)
         if self._assignments.get(name) != shard:
+            check_entry_name(name)
             self._assignments[name] = shard
             self.version += 1
         return shard
@@ -148,6 +155,9 @@ class ShardMap:
         one generation forward, not 100k, so process workers watching the
         version reload once per bulk registration.
         """
+        for name in names:
+            if name not in self._assignments:
+                check_entry_name(name)
         placed: Dict[str, int] = {}
         changed = False
         for name in names:
@@ -294,7 +304,7 @@ class Shard:
         return len(self.store)
 
 
-class ShardRouter:
+class ShardRouter(QueryMethods):
     """Route named synopses across N concurrent store/engine shards.
 
     The router exposes the same registration and query surface as a
@@ -763,21 +773,10 @@ class ShardRouter:
                 ) from None
 
     def resolve_members(self, spec: Any) -> List[str]:
-        """Member names for a group query target.
-
-        A string resolves as a cohort name first, then as a
-        comma-separated name list, then as one bare entry name; any
-        non-string iterable is taken as the member list itself.
-        """
-        if isinstance(spec, str):
-            with self._cohort_lock:
-                members = self._cohorts.get(spec)
-            if members is not None:
-                return list(members)
-            if "," in spec:
-                return [part.strip() for part in spec.split(",") if part.strip()]
-            return [spec]
-        return [str(name) for name in spec]
+        """Member names for a group query target (see
+        :func:`~repro.serve.kinds.resolve_members`)."""
+        with self._cohort_lock:
+            return resolve_members(spec, self._cohorts)
 
     def warm(self, names: Optional[Sequence[str]] = None) -> int:
         """Prefetch prefix tables shard by shard; returns tables resident
@@ -813,108 +812,25 @@ class ShardRouter:
     def table_versioned(self, name: str) -> Tuple[int, PrefixTable]:
         return self._shard_for_registered(name).engine.table_versioned(name)
 
-    def range_sum(self, name: str, a, b):
-        return self._shard_for_registered(name).engine.range_sum(name, a, b)
+    def query(self, kind: str, name: Any, *args: Any) -> Tuple[Any, Any]:
+        """One query of any kind across shards: ``(value, version)``.
 
-    def range_mean(self, name: str, a, b):
-        return self._shard_for_registered(name).engine.range_mean(name, a, b)
-
-    def point_mass(self, name: str, x):
-        return self._shard_for_registered(name).engine.point_mass(name, x)
-
-    def cdf(self, name: str, x):
-        return self._shard_for_registered(name).engine.cdf(name, x)
-
-    def quantile(self, name: str, q):
-        return self._shard_for_registered(name).engine.quantile(name, q)
-
-    def top_k_buckets(self, name: str, m: int):
-        return self._shard_for_registered(name).engine.top_k_buckets(name, m)
-
-    def heavy_hitters(self, name: str, phi: float):
-        """Sliding-window ``phi``-heavy hitters of entry ``name`` (see
-        :meth:`~repro.serve.engine.QueryEngine.heavy_hitters`)."""
-        return self._shard_for_registered(name).engine.heavy_hitters(name, phi)
-
-    def inner_product(self, name_a: str, name_b: str) -> float:
-        """``<f_a, f_b>`` between two stored synopses, pairing across shards.
-
-        Each name's prefix table comes from its *own* shard's engine (so
-        both benefit from that shard's cache), and the closed-form
-        product runs on the caller's thread — no cross-shard locking, the
-        same consistency unit as two independent reads.
+        A single-entry kind runs on its entry's shard engine.  Pair and
+        group kinds take each table from its own shard engine (one atomic
+        snapshot per name, warm in that shard's cache) and reduce on the
+        caller's thread — the same consistency unit as independent reads,
+        with no cross-shard locking — and their latency is recorded on
+        the first name's shard, so the per-kind series exist exactly once
+        per query.
         """
-        table_a = self._shard_for_registered(name_a).engine.table(name_a)
-        table_b = self._shard_for_registered(name_b).engine.table(name_b)
-        return table_a.inner_product(table_b)
-
-    # ------------------------------------------------------------------ #
-    # Group-by queries (fan out across shards, closed-form fan-in)
-    # ------------------------------------------------------------------ #
-
-    def _group_tables(
-        self, names: List[str]
-    ) -> Tuple[List[PrefixTable], Dict[str, int]]:
-        """Per-member ``(table, version)`` pairs, each from its own shard.
-
-        Every member's table comes through its shard engine's
-        ``table_versioned`` (one atomic store snapshot per member, warm
-        in that shard's cache), and the reduction happens on the caller's
-        thread — the same consistency unit as N independent reads, which
-        is exactly what the per-member versions dict reports.
-        """
-        if not names:
-            raise ValueError("group queries need at least one member")
-        tables: List[PrefixTable] = []
-        versions: Dict[str, int] = {}
-        for name in names:
-            shard = self._shard_for_registered(name)
-            version, table = shard.engine.table_versioned(name)
-            tables.append(table)
-            versions[name] = version
-        return tables, versions
-
-    def _observe_group(self, kind: str, names: List[str], start: float) -> None:
-        # The group evaluation ran on the caller's thread, not inside any
-        # one engine; attribute its latency to the first member's shard
-        # so the per-kind series exist exactly once per query.
-        self.shard_of(names[0]).engine.observe_query(
-            kind, time.perf_counter() - start
-        )
-
-    def group_range_sum(
-        self, names: Any, a, b
-    ) -> Tuple[Any, Dict[str, int]]:
-        """Pooled range sum over a cohort / member list; returns
-        ``(value, {member: version})``."""
-        members = self.resolve_members(names)
+        spec = query_kind(kind)
+        if not (spec.group or spec.source == "pair"):
+            return self._shard_for_registered(name).engine.query(kind, name, *args)
         start = time.perf_counter()
-        tables, versions = self._group_tables(members)
-        value = group_tables_range_sum(tables, a, b)
-        self._observe_group("group_range_sum", members, start)
-        return value, versions
-
-    def group_range_mean(
-        self, names: Any, a, b
-    ) -> Tuple[Any, Dict[str, int]]:
-        """Pooled range mean over a cohort / member list."""
-        members = self.resolve_members(names)
-        start = time.perf_counter()
-        tables, versions = self._group_tables(members)
-        value = group_tables_range_mean(tables, a, b)
-        self._observe_group("group_range_mean", members, start)
-        return value, versions
-
-    def group_top_k(
-        self, names: Any, m: int
-    ) -> Tuple[List[Tuple[int, int, float]], Dict[str, int]]:
-        """Heaviest merged-partition pieces of the pooled member set."""
-        members = self.resolve_members(names)
-        start = time.perf_counter()
-        tables, versions = self._group_tables(members)
-        value = group_tables_top_k(tables, int(m))
-        self._observe_group("group_top_k", members, start)
-        return value, versions
+        value, version = run_query(self, spec, name, args)
+        lead = next(iter(version)) if spec.group else name
+        self.shard_of(lead).engine.observe_query(kind, time.perf_counter() - start)
+        return value, version
 
     # ------------------------------------------------------------------ #
     # Live migration and read replication (skew-aware placement)

@@ -34,6 +34,7 @@ from ..obs.metrics import MetricsRegistry, timer
 from ..sampling.streaming import StreamingHistogramLearner
 from ..sampling.windowed import WindowedStreamLearner
 from .builders import BuildResult, build_synopsis
+from .kinds import check_entry_name, resolve_members
 from .planner import (
     BYTES_PER_NUMBER,
     BudgetInfeasibleError,
@@ -396,6 +397,7 @@ class SynopsisStore:
                 items = [(str(n), d) for n, d in named_datasets]
             with self._lock:
                 for name, _ in items:
+                    check_entry_name(name)
                     if name in self._entries:
                         raise ValueError(duplicate_entry_message(name))
             planned = plan_cohort(
@@ -474,6 +476,7 @@ class SynopsisStore:
         learner: Optional[StreamLearner],
         plan: Optional[BuildPlan] = None,
     ) -> StoreEntry:
+        check_entry_name(name)
         if plan is not None:
             # The chosen build now lives in entry.result; keeping the
             # duplicate reference on the plan would pin the synopsis (an
@@ -776,21 +779,10 @@ class SynopsisStore:
                 ) from None
 
     def resolve_members(self, spec: Any) -> List[str]:
-        """Member names for a group query target.
-
-        A string resolves as a cohort name first, then as a
-        comma-separated name list, then as one bare entry name; any
-        non-string iterable is taken as the member list itself.
-        """
-        if isinstance(spec, str):
-            with self._lock:
-                members = self._cohorts.get(spec)
-            if members is not None:
-                return list(members)
-            if "," in spec:
-                return [part.strip() for part in spec.split(",") if part.strip()]
-            return [spec]
-        return [str(name) for name in spec]
+        """Member names for a group query target (see
+        :func:`~repro.serve.kinds.resolve_members`)."""
+        with self._lock:
+            return resolve_members(spec, self._cohorts)
 
     # ------------------------------------------------------------------ #
     # Persistence (implementation in repro.serve.persistence)

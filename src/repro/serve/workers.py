@@ -52,7 +52,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry, get_default_registry
-from .frontend import _COALESCIBLE, _GROUP_KINDS, QueryRequest, QueryResult
+from .frontend import QueryRequest, QueryResult
+from .kinds import (
+    KINDS,
+    MEMBER_SEPARATOR,
+    QueryMethods,
+    check_entry_name,
+    query_kind,
+    resolve_members,
+)
 from .persistence import (
     StoreCorruptionError,
     _parse_cohorts,
@@ -349,7 +357,7 @@ class _Worker:
         self.restarts = 0
 
 
-class ProcessShardRouter:
+class ProcessShardRouter(QueryMethods):
     """Serve a persisted store from N worker processes.
 
     Mirrors the read-side surface of
@@ -519,16 +527,9 @@ class ProcessShardRouter:
         return dict(self._cohorts)
 
     def resolve_members(self, spec: Any) -> List[str]:
-        """Member names for a group query (mirrors the in-process
-        router's: cohort name, comma list, or bare entry name)."""
-        if isinstance(spec, str):
-            members = self._cohorts.get(spec)
-            if members is not None:
-                return list(members)
-            if "," in spec:
-                return [part.strip() for part in spec.split(",") if part.strip()]
-            return [spec]
-        return [str(name) for name in spec]
+        """Member names for a group query (see
+        :func:`~repro.serve.kinds.resolve_members`)."""
+        return resolve_members(spec, self._cohorts)
 
     def describe_shards(self) -> List[Dict[str, Any]]:
         """Per-shard placement: global shard index, owning worker, names."""
@@ -564,11 +565,12 @@ class ProcessShardRouter:
         Group-by kinds go to the first member's shard — every worker
         opens all shard directories, so that worker's local router can
         resolve the whole member set."""
-        if request.kind in _GROUP_KINDS:
+        spec = KINDS[request.kind]
+        if spec.group:
             members = self.resolve_members(request.name)
             return self._shard_index(members[0]) if members else 0
         replicas = self._replicas_of_name.get(request.name)
-        if replicas and request.kind in _COALESCIBLE:
+        if replicas and spec.coalescible:
             placements = [self._shard_index(request.name), *replicas]
             return placements[next(self._rr) % len(placements)]
         return self._shard_index(request.name)
@@ -844,59 +846,20 @@ class ProcessShardRouter:
                 )
         return [r for r in results if r is not None]
 
-    def _query_one(self, kind: str, name: str, *args: Any) -> Any:
-        """One request, unwrapped: the single-query convenience surface
-        (mirrors ``ShardRouter``'s, so the CLI REPL is oblivious to which
-        router it drives).  Per-request errors re-raise as ValueError."""
+    def query(self, kind: str, name: Any, *args: Any) -> Tuple[Any, Any]:
+        """One request through the workers, unwrapped: ``(value, version)``.
+
+        The single-query surface mirrors ``ShardRouter``'s, so the CLI
+        REPL is oblivious to which router it drives.  An explicit member
+        list for a group kind travels as its comma-joined spec.
+        Per-request errors re-raise as ValueError.
+        """
+        if query_kind(kind).group and not isinstance(name, str):
+            name = MEMBER_SEPARATOR.join(str(member) for member in name)
         (result,) = self.serve([QueryRequest(kind, name, args)])
         if result.error is not None:
             raise ValueError(result.error)
-        return result.value
-
-    def range_sum(self, name: str, a, b):
-        return self._query_one("range_sum", name, a, b)
-
-    def range_mean(self, name: str, a, b):
-        return self._query_one("range_mean", name, a, b)
-
-    def point_mass(self, name: str, x):
-        return self._query_one("point_mass", name, x)
-
-    def cdf(self, name: str, x):
-        return self._query_one("cdf", name, x)
-
-    def quantile(self, name: str, q):
-        return self._query_one("quantile", name, q)
-
-    def top_k_buckets(self, name: str, m: int):
-        return self._query_one("top_k", name, int(m))
-
-    def heavy_hitters(self, name: str, phi: float):
-        return self._query_one("heavy_hitters", name, float(phi))
-
-    def inner_product(self, name_a: str, name_b: str) -> float:
-        return self._query_one("inner_product", name_a, str(name_b))
-
-    def _group_query(self, kind: str, names: Any, *args: Any):
-        """One group-by round trip; returns ``(value, {member: version})``."""
-        spec = (
-            names
-            if isinstance(names, str)
-            else ",".join(str(name) for name in names)
-        )
-        (result,) = self.serve([QueryRequest(kind, spec, args)])
-        if result.error is not None:
-            raise ValueError(result.error)
         return result.value, result.version
-
-    def group_range_sum(self, names: Any, a, b):
-        return self._group_query("group_range_sum", names, a, b)
-
-    def group_range_mean(self, names: Any, a, b):
-        return self._group_query("group_range_mean", names, a, b)
-
-    def group_top_k(self, names: Any, m: int):
-        return self._group_query("group_top_k", names, int(m))
 
     # ------------------------------------------------------------------ #
     # Bulk registration (broadcast)
@@ -926,6 +889,7 @@ class ProcessShardRouter:
         else:
             items = [(str(n), d) for n, d in named_datasets]
         for name, _ in items:
+            check_entry_name(name)
             if name in self._records:
                 raise ValueError(duplicate_entry_message(name))
         message = encode_message(

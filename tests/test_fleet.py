@@ -442,3 +442,42 @@ class TestDuplicateRegistration:
                 [("taken", np.ones(32))], BuildBudget(max_bytes=400)
             )
         assert str(excinfo.value) == duplicate_entry_message("taken")
+
+
+class TestEntryNamesAddressableByGroupSpecs:
+    """A comma separates member names in a group spec, so no entry name
+    may contain one: it could never be addressed by a group query."""
+
+    def test_store_rejects_comma_names_on_every_registration_path(self):
+        store = SynopsisStore()
+        with pytest.raises(ValueError, match="contains ','"):
+            store.register("a,b", np.ones(16), family="merging", k=2)
+        with pytest.raises(ValueError, match="contains ','"):
+            store.register_auto("a,b", np.ones(16), BuildBudget(max_bytes=400))
+        with pytest.raises(ValueError, match="contains ','"):
+            store.register_many(
+                [("fresh", np.ones(16)), ("a,b", np.ones(16))],
+                BuildBudget(max_bytes=400),
+            )
+        assert store.names() == []  # nothing partially installed
+
+    def test_router_rejects_comma_names_without_recording_them(self):
+        router = ShardRouter(num_shards=2)
+        router.register("a", np.ones(16), family="merging", k=2)
+        map_version = router.shard_map.version
+        with pytest.raises(ValueError, match="contains ','"):
+            router.register("a,b", np.ones(16), family="merging", k=2)
+        with pytest.raises(ValueError, match="contains ','"):
+            router.register_many(
+                [("fresh", np.ones(16)), ("a,b", np.ones(16))],
+                BuildBudget(max_bytes=400),
+            )
+        assert router.names() == ["a"]
+        assert router.shard_map.names() == ["a"]
+        assert router.shard_map.version == map_version
+        # The spec the rejected name would have collided with still means
+        # the member list it spells.
+        router.register("b", np.ones(16), family="merging", k=2)
+        value, versions = router.group_range_sum("a,b", 0, 10)
+        assert versions == {"a": 0, "b": 0}
+        assert value == router.range_sum("a", 0, 10) + router.range_sum("b", 0, 10)

@@ -19,7 +19,11 @@ from __future__ import annotations
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +342,28 @@ class TestJsonLogging:
     def test_slow_query_log_rejects_negative_threshold(self):
         with pytest.raises(ValueError, match=">= 0"):
             SlowQueryLog(threshold_seconds=-1.0)
+
+    def test_slow_query_log_quiet_when_logging_unconfigured(self, capfd):
+        # A fresh interpreter, so no test harness handler sits on the root
+        # logger: only the library's own handlers decide what is printed.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        script = (
+            "from repro.obs.jsonlog import SlowQueryLog\n"
+            "assert SlowQueryLog(threshold_seconds=0).record('range_sum', 'x', 0.2)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env)
+        assert proc.returncode == 0
+        assert capfd.readouterr().err == ""
+
+    def test_slow_query_log_emits_once_logging_configured(self):
+        stream = io.StringIO()
+        configure_json_logging(stream)
+        SlowQueryLog(threshold_seconds=0).record("range_sum", "x", 0.2)
+        record = json.loads(stream.getvalue())
+        assert record["event"] == "slow query"
+        assert record["query_name"] == "x"
 
 
 # ---------------------------------------------------------------------- #
