@@ -21,7 +21,8 @@ into a queryable system:
   manifest + per-entry npz payloads, atomic replace, lazy hydration
   (``store.save(path)`` / ``SynopsisStore.load(path)``).
 * :mod:`repro.serve.kinds` — the query-kind table: one row per kind
-  (argument form, coalescible, group, source, table-level evaluator) and
+  (argument form, argument dtype of a coalescible kind, group, source,
+  table-level evaluator) and
   the one dispatcher behind every layer's ``query(kind, name, *args)``;
   the per-kind methods (``range_sum`` ... ``group_top_k``) are written
   once over it.
@@ -35,8 +36,9 @@ into a queryable system:
   :class:`ShardMap` (resharding is a deliberate migration).
 * :mod:`repro.serve.frontend` — :class:`AsyncServingFrontend`, an
   asyncio front end fanning multi-name query batches out per shard on a
-  thread pool, coalescing same-entry requests, and reassembling answers
-  in request order with per-answer snapshot versions.
+  thread pool, coalescing same-entry requests into argument columns, and
+  reassembling answers in request order with per-answer snapshot
+  versions.
 * :mod:`repro.serve.residency` — :class:`ResidencyManager`, tiered
   residency under a global memory budget: hot entries stay hydrated,
   cold ones cool back to their lazy mmap hydrators.

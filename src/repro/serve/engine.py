@@ -184,7 +184,8 @@ class PrefixTable:
         if total <= 0.0:
             raise ValueError("quantile requires positive total mass")
         qs = np.asarray(q, dtype=np.float64)
-        if np.any((qs < 0.0) | (qs > 1.0)):
+        # Written so that NaN (which compares False both ways) fails too.
+        if not np.all((qs >= 0.0) & (qs <= 1.0)):
             raise ValueError("quantile levels must lie in [0, 1]")
         targets = np.atleast_1d(qs) * total
         if self.prefix.is_piecewise_linear:

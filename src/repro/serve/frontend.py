@@ -9,14 +9,27 @@ fans the batch out per shard, runs each shard's work on a thread pool
 concurrently on multicore hosts), and reassembles the answers in request
 order.
 
-Within a shard the front end *coalesces*: requests addressed to the same
-``(name, kind)`` are concatenated into a single vectorized engine call and
-the answer is split back per request.  That amortizes the per-request
-Python dispatch across the group — the dominant cost for real serving
-traffic, where millions of users each send small batches — and is why the
+Within a shard the front end *coalesces* in one pass (:func:`coalesce`):
+it sorts the requests into per-``(name, kind)`` :class:`ColumnGroup` s —
+the request indices plus one argument column per parameter, in the
+dtype the kind's evaluator reads — so each group is one vectorized
+engine call whose answer splits back with one ``tolist()``.  A request
+whose arguments are all Python/NumPy scalars goes straight into the
+column lists with no per-request NumPy call; 1-D array arguments are
+broadcast within their request, then concatenated behind the scalars.
+Higher-dimensional arguments, non-coalescible kinds, group kinds, and
+the requests of a group whose columns cannot hold a value (an int beyond
+int64, a NaN position) are evaluated one by one, so they fail or succeed
+exactly as they would alone.  That amortizes the per-request Python
+dispatch across the group — the dominant cost for real serving traffic,
+where millions of users each send small batches — and is why the
 sharded front end beats a request-at-a-time single engine even on one
-core.  A request that fails validation inside a coalesced group is
-retried individually, so one bad range cannot poison its neighbors.
+core.  If a group's stacked call fails (one request holds an invalid
+position), every request of the group is retried individually, so one
+bad range cannot poison its neighbors.  The process tier
+(:mod:`repro.serve.workers`) carries the same groups over its wire and
+hands them to :meth:`AsyncServingFrontend.serve_columns` in the worker:
+both tiers evaluate through this one path.
 
 Every :class:`QueryResult` carries the store *version* its answer was
 computed from.  Versions come from the engine's atomic
@@ -44,7 +57,7 @@ import time
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,12 +69,34 @@ from .kinds import KINDS, query_kind
 from .router import Shard, ShardRouter
 from .store import StoreEntry
 
-__all__ = ["QUERY_KINDS", "AsyncServingFrontend", "QueryRequest", "QueryResult"]
+__all__ = [
+    "QUERY_KINDS",
+    "AsyncServingFrontend",
+    "ColumnGroup",
+    "QueryRequest",
+    "QueryResult",
+    "coalesce",
+]
 
 #: kind -> number of positional query arguments (a view of the kind table).
 QUERY_KINDS: Dict[str, int] = {name: spec.arity for name, spec in KINDS.items()}
 
-_REQUEST_ERRORS = (KeyError, ValueError, IndexError, TypeError, StoreCorruptionError)
+# Arity of every coalescible kind (its requests stack into columns).
+_COLUMN_ARITY: Dict[str, int] = {
+    name: spec.arity for name, spec in KINDS.items() if spec.coalescible
+}
+
+# Arguments that go straight into a column: Python and NumPy scalars.
+_SCALAR_TYPES = (int, float, np.generic)
+
+_REQUEST_ERRORS = (
+    KeyError,
+    ValueError,
+    IndexError,
+    TypeError,
+    OverflowError,
+    StoreCorruptionError,
+)
 
 
 @dataclass(frozen=True)
@@ -114,6 +149,150 @@ class QueryResult:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+class ColumnGroup:
+    """Same-``(name, kind)`` requests stacked into argument columns.
+
+    ``index`` lists the request indices in stacked order: the scalar
+    requests first, one element each, then the array requests, whose
+    element counts are ``sizes``.  ``columns`` holds one 1-D array of the
+    kind's argument dtype per parameter.
+    """
+
+    __slots__ = ("name", "kind", "index", "columns", "sizes")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        index: List[int],
+        columns: Tuple[np.ndarray, ...],
+        sizes: Sequence[int] = (),
+    ) -> None:
+        self.name = name
+        self.kind = kind
+        self.index = index
+        self.columns = columns
+        self.sizes = list(sizes)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def scalars(self) -> int:
+        """How many requests (the first ones) hold one element each."""
+        return len(self.index) - len(self.sizes)
+
+    def values(self, stacked: np.ndarray) -> List[Any]:
+        """Per-request answers, aligned with ``index``."""
+        scalars = self.scalars
+        out = stacked[:scalars].tolist()
+        offset = scalars
+        for size in self.sizes:
+            # Copy the slice out of the stacked answer: a view would pin
+            # the whole group's array alive for as long as any one result
+            # is retained.
+            out.append(stacked[offset : offset + size].copy())
+            offset += size
+        return out
+
+    def requests(self) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
+        """Each request's ``(index, args)``, read back from the columns."""
+        scalars = self.scalars
+        heads = [column[:scalars].tolist() for column in self.columns]
+        yield from zip(self.index, zip(*heads))
+        offset = scalars
+        for index, size in zip(self.index[scalars:], self.sizes):
+            yield index, tuple(
+                column[offset : offset + size] for column in self.columns
+            )
+            offset += size
+
+
+def coalesce(
+    items: Sequence[Tuple[int, QueryRequest]],
+) -> Tuple[List[ColumnGroup], List[Tuple[int, QueryRequest]]]:
+    """Sort ``(index, request)`` pairs into column groups, in one pass.
+
+    Returns ``(groups, singles)``: one :class:`ColumnGroup` per
+    ``(name, kind)`` of coalescible requests, and the pairs to evaluate
+    one by one.  Columns are cast to the kind's dtype exactly as its
+    evaluator would cast each request, so stacking never changes an
+    answer; a group whose columns cannot be cast is returned as singles.
+    """
+    scalar: Dict[Tuple[str, str], List[Tuple[int, QueryRequest]]] = {}
+    arrays: Dict[Tuple[str, str], List[Tuple[int, QueryRequest, List[Any]]]] = {}
+    singles: List[Tuple[int, QueryRequest]] = []
+    for index, request in items:
+        args = request.args
+        if _COLUMN_ARITY.get(request.kind) != len(args):
+            singles.append((index, request))
+            continue
+        for arg in args:
+            if not isinstance(arg, _SCALAR_TYPES):
+                ndim = max(np.ndim(value) for value in args)
+                break
+        else:
+            ndim = 0
+        key = (request.name, request.kind)
+        if ndim == 0:
+            members = scalar.get(key)
+            if members is None:
+                scalar[key] = [(index, request)]
+            else:
+                members.append((index, request))
+        elif ndim == 1:
+            # Broadcast each request's arguments against each other BEFORE
+            # concatenating across requests: a request like (scalar a,
+            # array b) must occupy the same positions in every column, or
+            # neighbors' a/b pairs would silently cross.
+            try:
+                broadcast = np.broadcast_arrays(
+                    *[np.atleast_1d(np.asarray(arg)) for arg in args]
+                )
+            except _REQUEST_ERRORS:
+                singles.append((index, request))
+            else:
+                arrays.setdefault(key, []).append((index, request, broadcast))
+        else:
+            # Stacking happens along axis 0, so higher-dimensional query
+            # arrays (which the engine accepts) would split back wrongly.
+            singles.append((index, request))
+    groups: List[ColumnGroup] = []
+    for key in {**scalar, **arrays}:
+        name, kind = key
+        spec = KINDS[kind]
+        members = scalar.get(key, [])
+        stacked = arrays.get(key, [])
+        heads = list(zip(*[request.args for _, request in members]))
+        try:
+            columns = tuple(
+                _column(
+                    spec.dtype,
+                    heads[p] if heads else (),
+                    [broadcast[p] for _, _, broadcast in stacked],
+                )
+                for p in range(spec.arity)
+            )
+        except _REQUEST_ERRORS:
+            singles.extend(members)
+            singles.extend((index, request) for index, request, _ in stacked)
+            continue
+        order = [index for index, _ in members]
+        order.extend(index for index, _, _ in stacked)
+        sizes = [broadcast[0].size for _, _, broadcast in stacked]
+        groups.append(ColumnGroup(name, kind, order, columns, sizes))
+    return groups, singles
+
+
+def _column(dtype: Any, head: Sequence[Any], parts: List[np.ndarray]) -> np.ndarray:
+    """One argument column: the scalar requests' values, then the array
+    requests' broadcast parts, cast as the kind's evaluator casts them."""
+    column = np.array(head, dtype=dtype)
+    if parts:
+        column = np.concatenate([column, *parts], dtype=dtype, casting="unsafe")
+    return column
 
 
 class AsyncServingFrontend:
@@ -238,8 +417,8 @@ class AsyncServingFrontend:
     # Routing (replica fan-out, migration drain)
     # ------------------------------------------------------------------ #
 
-    def _route(self, request: QueryRequest) -> int:
-        """The shard index to evaluate ``request`` on.
+    def _route(self, kind: str, name: str) -> int:
+        """The shard index to evaluate a ``kind`` read of ``name`` on.
 
         Coalescible reads of a replicated entry fan round-robin across
         the primary and replica shards; everything else — writes,
@@ -247,11 +426,11 @@ class AsyncServingFrontend:
         carry), top_k, inner_product — goes to the primary.
         """
         shard_map = self.router.shard_map
-        if KINDS[request.kind].coalescible:
-            placements = shard_map.placements_of(request.name)
+        if KINDS[kind].coalescible:
+            placements = shard_map.placements_of(name)
             if len(placements) > 1:
                 return placements[next(self._rr) % len(placements)]
-        return shard_map.shard_of(request.name)
+        return shard_map.shard_of(name)
 
     def _replica_fallback(
         self, shard: Shard, name: str, version: int
@@ -324,34 +503,54 @@ class AsyncServingFrontend:
         corrupt payload) are reported in ``QueryResult.error`` rather
         than raised, keeping one poisoned request from failing the batch.
         """
+        results, _ = await self._query_batch(list(enumerate(requests)), ())
+        return results
+
+    async def _query_batch(
+        self,
+        items: Sequence[Tuple[int, QueryRequest]],
+        groups: Sequence[ColumnGroup],
+        split: bool = True,
+    ) -> Tuple[List[QueryResult], List[Tuple[ColumnGroup, Tuple[Any, Any]]]]:
+        """Serve ``items`` plus pre-stacked ``groups`` (whose indices share
+        the items' index space).  Returns the results in index order and,
+        unless ``split``, each answered group's ``(stacked, version)``
+        instead of its per-request results."""
         started = time.perf_counter()
         trace = TraceContext("query_batch")
-        indexed = list(enumerate(requests))
+        count = len(items) + sum(len(group) for group in groups)
         self._c_batches.inc()
-        self._c_requests.inc(len(indexed))
-        self._h_batch_size.observe(max(len(indexed), 1))
-        with trace.span("route", requests=len(indexed)):
-            by_shard: Dict[int, List[Tuple[int, QueryRequest]]] = {}
+        self._c_requests.inc(count)
+        self._h_batch_size.observe(max(count, 1))
+        with trace.span("route", requests=count):
+            by_shard: Dict[int, Tuple[list, list]] = {}
             group_items: List[Tuple[int, QueryRequest]] = []
-            for index, request in indexed:
+            for index, request in items:
                 if KINDS[request.kind].group:
                     # Group kinds span shards; they run as their own
                     # pool job instead of landing on any one shard.
                     group_items.append((index, request))
                     continue
-                by_shard.setdefault(self._route(request), []).append(
-                    (index, request)
-                )
+                shard = self._route(request.kind, request.name)
+                work = by_shard.get(shard)
+                if work is None:
+                    work = by_shard[shard] = ([], [])
+                work[0].append((index, request))
+            for group in groups:
+                shard = self._route(group.kind, group.name)
+                by_shard.setdefault(shard, ([], []))[1].append(group)
         loop = asyncio.get_running_loop()
         jobs = [
             loop.run_in_executor(
                 self._executor,
                 self._serve_shard,
                 self.router.shards[s],
-                items,
+                shard_items,
+                shard_groups,
+                split,
                 trace,
             )
-            for s, items in by_shard.items()
+            for s, (shard_items, shard_groups) in by_shard.items()
         ]
         if group_items:
             jobs.append(
@@ -360,11 +559,13 @@ class AsyncServingFrontend:
                 )
             )
         gathered = await asyncio.gather(*jobs)
+        answered: List[Tuple[ColumnGroup, Tuple[Any, Any]]] = []
         with trace.span("reassemble"):
-            results: List[Optional[QueryResult]] = [None] * len(indexed)
-            for shard_results in gathered:
+            results: List[Optional[QueryResult]] = [None] * count
+            for shard_results, shard_answered in gathered:
                 for result in shard_results:
                     results[result.index] = result
+                answered.extend(shard_answered)
             ordered = [r for r in results if r is not None]
         errors = sum(1 for r in ordered if not r.ok)
         if errors:
@@ -375,13 +576,13 @@ class AsyncServingFrontend:
         with trace.bound():  # attach the trace id to the slow-log entry
             self.slow_log.record(
                 "query_batch",
-                f"batch[{len(indexed)}]",
+                f"batch[{count}]",
                 elapsed,
-                requests=len(indexed),
+                requests=count,
                 shards=len(by_shard),
                 errors=errors,
             )
-        return ordered
+        return ordered, answered
 
     def serve(self, requests: Sequence[QueryRequest]) -> List[QueryResult]:
         """Synchronous convenience wrapper around :meth:`query_batch`.
@@ -390,6 +591,26 @@ class AsyncServingFrontend:
         coroutine — use ``await query_batch(...)`` there.
         """
         return asyncio.run(self.query_batch(requests))
+
+    def serve_columns(
+        self,
+        groups: Sequence[ColumnGroup],
+        items: Sequence[Tuple[int, QueryRequest]] = (),
+    ) -> Tuple[List[Optional[Tuple[Any, Any]]], List[QueryResult]]:
+        """Serve pre-stacked column groups plus ``(index, request)`` pairs.
+
+        The process tier's worker entry point: a group's answer stays one
+        stacked array.  Returns ``(answers, results)``: per group, in
+        order, its ``(stacked, version)`` — or None when its requests
+        were answered one by one, which then appear in ``results`` — and
+        the results of every other request.  Indices of groups and items
+        must together be ``0 .. n-1``, each once.
+        """
+        results, answered = asyncio.run(
+            self._query_batch(list(items), list(groups), split=False)
+        )
+        by_group = {id(group): answer for group, answer in answered}
+        return [by_group.get(id(group)) for group in groups], results
 
     # ------------------------------------------------------------------ #
     # Writes (serialized by the per-shard write lock)
@@ -442,11 +663,11 @@ class AsyncServingFrontend:
         self,
         items: List[Tuple[int, QueryRequest]],
         trace: Optional[TraceContext] = None,
-    ) -> List[QueryResult]:
+    ) -> Tuple[List[QueryResult], list]:
         if trace is not None:
             with trace.bound():
-                return self._serve_groups_inner(items)
-        return self._serve_groups_inner(items)
+                return self._serve_groups_inner(items), []
+        return self._serve_groups_inner(items), []
 
     def _serve_groups_inner(
         self, items: List[Tuple[int, QueryRequest]]
@@ -495,43 +716,37 @@ class AsyncServingFrontend:
         self,
         shard: Shard,
         items: List[Tuple[int, QueryRequest]],
+        groups: List[ColumnGroup],
+        split: bool,
         trace: Optional[TraceContext] = None,
-    ) -> List[QueryResult]:
+    ) -> Tuple[List[QueryResult], List[Tuple[ColumnGroup, Tuple[Any, Any]]]]:
         # Runs on a pool worker: thread pools do not inherit the event
         # loop task's contextvars, so the batch trace must be re-bound
         # here for the coalesce/evaluate spans (and any slow-log entry
         # recorded downstream) to land on the right request.
         if trace is not None:
             with trace.bound():
-                return self._serve_shard_inner(shard, items)
-        return self._serve_shard_inner(shard, items)
+                return self._serve_shard_inner(shard, items, groups, split)
+        return self._serve_shard_inner(shard, items, groups, split)
 
     def _serve_shard_inner(
-        self, shard: Shard, items: List[Tuple[int, QueryRequest]]
-    ) -> List[QueryResult]:
+        self,
+        shard: Shard,
+        items: List[Tuple[int, QueryRequest]],
+        groups: List[ColumnGroup],
+        split: bool,
+    ) -> Tuple[List[QueryResult], List[Tuple[ColumnGroup, Tuple[Any, Any]]]]:
         started = time.perf_counter()
         histogram, counter = self._shard_instruments(shard.index)
-        counter.inc(len(items))
+        requests = len(items) + sum(len(group) for group in groups)
+        counter.inc(requests)
         try:
             with span("coalesce", shard=shard.index):
-                groups: Dict[Tuple[str, str], List[Tuple[int, QueryRequest]]] = {}
-                singles: List[Tuple[int, QueryRequest]] = []
-                for index, request in items:
-                    # Only scalar/1-D arguments coalesce: stacking happens
-                    # along axis 0, so higher-dimensional query arrays
-                    # (which the engine accepts) would split back
-                    # incorrectly — serve those one by one instead.
-                    if (
-                        self.coalesce
-                        and KINDS[request.kind].coalescible
-                        and all(np.ndim(arg) <= 1 for arg in request.args)
-                    ):
-                        groups.setdefault(
-                            (request.name, request.kind), []
-                        ).append((index, request))
-                    else:
-                        singles.append((index, request))
-            merged = sum(len(group) for group in groups.values() if len(group) > 1)
+                singles = items
+                if self.coalesce:
+                    built, singles = coalesce(items)
+                    groups = groups + built
+            merged = sum(len(group) for group in groups if len(group) > 1)
             if merged:
                 self._c_coalesced.inc(merged)
             # Per-entry request volume, for the hotness tracker.  The
@@ -542,9 +757,9 @@ class AsyncServingFrontend:
             # ``registry.drop(entry=...)`` stays effective across
             # re-registration.
             request_counts: Dict[str, int] = {}
-            for (group_name, _kind), group in groups.items():
-                request_counts[group_name] = request_counts.get(
-                    group_name, 0
+            for group in groups:
+                request_counts[group.name] = request_counts.get(
+                    group.name, 0
                 ) + len(group)
             for _index, request in singles:
                 request_counts[request.name] = (
@@ -556,25 +771,60 @@ class AsyncServingFrontend:
                     "requests addressed to the entry",
                     entry=entry_name,
                 ).inc(count)
-            with span("evaluate", shard=shard.index, requests=len(items)):
+            answered: List[Tuple[ColumnGroup, Tuple[Any, Any]]] = []
+            with span("evaluate", shard=shard.index, requests=requests):
                 results: List[QueryResult] = []
-                for (name, kind), group in groups.items():
-                    if len(group) == 1:
-                        results.append(self._serve_one(shard, *group[0]))
-                    else:
-                        results.extend(
-                            self._serve_coalesced(shard, name, kind, group)
+                for group in groups:
+                    # One engine call per group: all its answers share one
+                    # table snapshot, hence one version (and one engine-side
+                    # latency observation: the coalescing win shows up as
+                    # fewer, slightly fatter samples).
+                    name, kind = group.name, group.kind
+                    try:
+                        stacked, version = self._evaluate(
+                            shard, kind, name, group.columns
                         )
+                    except _REQUEST_ERRORS:
+                        # One request holds an invalid argument: retry each
+                        # individually so only the offender reports an error.
+                        results.extend(
+                            self._serve_one(shard, index, kind, name, args)
+                            for index, args in group.requests()
+                        )
+                        continue
+                    if split:
+                        results.extend(
+                            QueryResult(index, name, kind, value, version)
+                            for index, value in zip(
+                                group.index, group.values(stacked)
+                            )
+                        )
+                    else:
+                        answered.append((group, (stacked, version)))
                 for index, request in singles:
-                    results.append(self._serve_one(shard, index, request))
-            return results
+                    results.append(
+                        self._serve_one(
+                            shard, index, request.kind, request.name, request.args
+                        )
+                    )
+            return results, answered
         finally:
             histogram.observe(time.perf_counter() - started)
 
-    def _serve_one(
-        self, shard: Shard, index: int, request: QueryRequest, _hops: int = 0
-    ) -> QueryResult:
-        kind, name, args = request.kind, request.name, request.args
+    def _evaluate(
+        self,
+        shard: Shard,
+        kind: str,
+        name: str,
+        args: Sequence[Any],
+        _hops: int = 0,
+    ) -> Tuple[Any, Any]:
+        """``(value, version)`` of one engine call routed to ``shard``.
+
+        A replica's answer is recomputed on the primary when its snapshot
+        trails it; a miss caused by a live migration retries on the
+        entry's current shard.  Any other failure raises.
+        """
         try:
             if KINDS[kind].coalescible:
                 # Replica-servable: answer on the routed shard, recomputing
@@ -582,85 +832,30 @@ class AsyncServingFrontend:
                 value, version = shard.engine.query(kind, name, *args)
                 fallback = self._replica_fallback(shard, name, version)
                 if fallback is not None:
-                    shard = fallback
-                    value, version = shard.engine.query(kind, name, *args)
-            else:
-                # Primary-only kinds; a pair's partner may live on another
-                # shard, which the router resolves.
-                value, version = self.router.query(kind, name, *args)
+                    value, version = fallback.engine.query(kind, name, *args)
+                return value, version
+            # Primary-only kinds; a pair's partner may live on another
+            # shard, which the router resolves.
+            return self.router.query(kind, name, *args)
         except _REQUEST_ERRORS as exc:
             retry = self._migration_target(shard, name, exc)
-            if retry is not None and _hops < 4:
-                self._c_migrated_retries.inc()
-                return self._serve_one(retry, index, request, _hops + 1)
+            if retry is None or _hops >= 4:
+                raise
+            self._c_migrated_retries.inc()
+            return self._evaluate(retry, kind, name, args, _hops + 1)
+
+    def _serve_one(
+        self,
+        shard: Shard,
+        index: int,
+        kind: str,
+        name: str,
+        args: Sequence[Any],
+    ) -> QueryResult:
+        try:
+            value, version = self._evaluate(shard, kind, name, args)
+        except _REQUEST_ERRORS as exc:
             return QueryResult(index=index, name=name, kind=kind, error=str(exc))
         return QueryResult(
             index=index, name=name, kind=kind, value=value, version=version
         )
-
-    def _serve_coalesced(
-        self,
-        shard: Shard,
-        name: str,
-        kind: str,
-        group: List[Tuple[int, QueryRequest]],
-        _hops: int = 0,
-    ) -> List[QueryResult]:
-        """One vectorized call for same-(name, kind) requests, split back.
-
-        All answers in the group share one table snapshot, hence one
-        version (and one engine-side latency observation: the coalescing
-        win shows up as fewer, slightly fatter samples).  If the stacked
-        call fails (one request holds an invalid position), every request
-        is retried individually so only the offender reports an error.
-        """
-        # Broadcast each request's own arguments against each other BEFORE
-        # concatenating across requests: a request like (scalar a, array b)
-        # must occupy the same positions in every stacked argument, or
-        # neighbors' a/b pairs would silently cross.
-        per_request = []
-        for _, req in group:
-            try:
-                broadcast = np.broadcast_arrays(
-                    *[np.atleast_1d(np.asarray(arg)) for arg in req.args]
-                )
-            except _REQUEST_ERRORS:
-                return [self._serve_one(shard, i, r) for i, r in group]
-            per_request.append(broadcast)
-        lengths = [broadcast[0].size for broadcast in per_request]
-        scalar = [
-            all(np.ndim(arg) == 0 for arg in req.args) for _, req in group
-        ]
-        stacked_args = tuple(
-            np.concatenate([broadcast[position] for broadcast in per_request])
-            for position in range(len(per_request[0]))
-        )
-        try:
-            stacked, version = shard.engine.query(kind, name, *stacked_args)
-            fallback = self._replica_fallback(shard, name, version)
-            if fallback is not None:
-                shard = fallback
-                stacked, version = shard.engine.query(kind, name, *stacked_args)
-        except _REQUEST_ERRORS as exc:
-            retry = self._migration_target(shard, name, exc)
-            if retry is not None and _hops < 4:
-                self._c_migrated_retries.inc()
-                return self._serve_coalesced(retry, name, kind, group, _hops + 1)
-            return [self._serve_one(shard, i, req) for i, req in group]
-        results = []
-        offsets = np.cumsum([0] + lengths)
-        for g, (index, _) in enumerate(group):
-            # Copy the slice out of the stacked group answer: a view would
-            # pin the whole group's array alive for as long as any one
-            # result is retained.
-            value = stacked[offsets[g] : offsets[g + 1]]
-            if scalar[g]:
-                value = value[0].item()
-            elif len(group) > 1:
-                value = value.copy()
-            results.append(
-                QueryResult(
-                    index=index, name=name, kind=kind, value=value, version=version
-                )
-            )
-        return results

@@ -130,16 +130,18 @@ class QueryKind:
 
     ``form`` is the positional argument shape quoted in error messages
     (``"(a, b)"``); the parameter names parsed from it give the arity.
-    ``coalescible`` kinds take array arguments that can be concatenated
-    across requests and split back per request, which is also what lets a
-    read replica serve them.
+    A kind with a ``dtype`` is *coalescible*: its evaluator is elementwise
+    over array arguments and reads every one of them as ``dtype``, so
+    requests stack into one argument column per parameter (cast exactly
+    as the evaluator would cast each request) and the answer splits back
+    per request.  That is also what lets a read replica serve them.
     """
 
     name: str
     form: str
     evaluate: Callable[..., Any]
     source: str = "table"
-    coalescible: bool = False
+    dtype: Any = None
     group: bool = False
     params: Tuple[str, ...] = field(init=False)
 
@@ -153,6 +155,10 @@ class QueryKind:
     def arity(self) -> int:
         return len(self.params)
 
+    @property
+    def coalescible(self) -> bool:
+        return self.dtype is not None
+
     def check_arity(self, args: Tuple[Any, ...]) -> None:
         if len(args) != len(self.params):
             raise ValueError(
@@ -162,15 +168,16 @@ class QueryKind:
 
 
 _ROWS = (
+    # Positions are int64 and quantile levels float64 on every table.
     QueryKind(
-        "range_sum", "(a, b)", lambda t, a, b: t.range_sum(a, b), coalescible=True
+        "range_sum", "(a, b)", lambda t, a, b: t.range_sum(a, b), dtype=np.int64
     ),
     QueryKind(
-        "range_mean", "(a, b)", lambda t, a, b: t.range_mean(a, b), coalescible=True
+        "range_mean", "(a, b)", lambda t, a, b: t.range_mean(a, b), dtype=np.int64
     ),
-    QueryKind("point_mass", "(x,)", lambda t, x: t.point_mass(x), coalescible=True),
-    QueryKind("cdf", "(x,)", lambda t, x: t.cdf(x), coalescible=True),
-    QueryKind("quantile", "(q,)", lambda t, q: t.quantile(q), coalescible=True),
+    QueryKind("point_mass", "(x,)", lambda t, x: t.point_mass(x), dtype=np.int64),
+    QueryKind("cdf", "(x,)", lambda t, x: t.cdf(x), dtype=np.int64),
+    QueryKind("quantile", "(q,)", lambda t, q: t.quantile(q), dtype=np.float64),
     QueryKind("top_k", "(m,)", lambda t, m: t.top_k_buckets(int(m))),
     # The partner may live on another shard; the answer's version is the
     # first (routed) entry's snapshot.

@@ -14,6 +14,16 @@ store layout, the workers ``np.memmap`` the same segment files, so N
 processes share one OS page cache instead of holding N decompressed
 copies.
 
+A batch crosses the wire *columnar*: the parent coalesces each worker's
+sub-batch with the front end's own :func:`~repro.serve.frontend.coalesce`
+and sends one raw-array frame per ``(entry, kind)`` group — request
+indices plus argument columns — with only the rest (non-coalescible
+kinds, group kinds, arguments a column cannot hold) as per-request rows
+(see :func:`query_message`).  The worker hands the decoded groups to
+:meth:`~repro.serve.frontend.AsyncServingFrontend.serve_columns`, the
+in-process evaluation path, and replies with one stacked value array and
+one version per group, which the parent splits back per request.
+
 Design points:
 
 * **The store on disk is the snapshot.**  Workers serve a persisted
@@ -36,7 +46,11 @@ Design points:
 * **No pickle on the wire.**  Messages are a 4-byte length-prefixed
   JSON header plus concatenated raw little-endian array payloads; a
   corrupt or malicious peer can produce garbage values but never code
-  execution.
+  execution, and a group frame whose indices and columns disagree is
+  rejected (:class:`WireFormatError`) rather than served misaligned.
+* **Pipes stay in step.**  Every worker's reply to a round trip is read
+  before any error is raised, so a failed batch never leaves an unread
+  reply to be taken as the answer to the next one.
 """
 
 from __future__ import annotations
@@ -52,7 +66,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry, get_default_registry
-from .frontend import QueryRequest, QueryResult
+from .frontend import ColumnGroup, QueryRequest, QueryResult, coalesce
 from .kinds import (
     KINDS,
     MEMBER_SEPARATOR,
@@ -79,6 +93,8 @@ __all__ = [
     "WorkerCrashError",
     "decode_message",
     "encode_message",
+    "parse_query",
+    "query_message",
 ]
 
 
@@ -150,7 +166,7 @@ def encode_message(obj: Any) -> bytes:
             f"cannot encode {type(value).__name__} on the worker wire"
         )
 
-    header = json.dumps(walk(obj)).encode("utf-8")
+    header = json.dumps(walk(obj), separators=(",", ":")).encode("utf-8")
     parts = [_LENGTH_PREFIX.pack(len(header)), header]
     parts.extend(array.tobytes() for array in arrays)
     return b"".join(parts)
@@ -212,6 +228,128 @@ def decode_message(data: bytes) -> Any:
 
 
 # --------------------------------------------------------------------- #
+# The query command
+# --------------------------------------------------------------------- #
+#
+# A worker's sub-batch travels as one frame per (entry, kind) column group
+# — the request indices and the argument columns exactly as the parent's
+# ``coalesce`` stacked them, plus ``sizes`` when the group holds array
+# requests — and one row per other request:
+#
+#     {"cmd": "query",
+#      "groups": [{"name", "kind", "index": <i8[m]>, "columns": [<arg[l]>...],
+#                  "sizes": <i8[s]>}, ...],
+#      "requests": [{"index", "kind", "name", "args"}, ...]}
+#
+# Indices number the sub-batch 0..n-1 across groups and rows, each once.
+# The reply carries one stacked value array and one version per group
+# (both None when the group's requests were answered one by one; they then
+# come back as rows), plus a row per other request:
+#
+#     {"ok": true, "values": [<value[l]> | null, ...], "versions": [...],
+#      "results": [{"index", "value", "version", "error"}, ...]}
+
+
+def query_message(
+    groups: Sequence[ColumnGroup], items: Sequence[Tuple[int, QueryRequest]]
+) -> Dict[str, Any]:
+    """The ``query`` command for one sub-batch (see the layout above)."""
+    frames = []
+    for group in groups:
+        frame = {
+            "name": group.name,
+            "kind": group.kind,
+            "index": np.asarray(group.index, dtype=np.int64),
+            "columns": list(group.columns),
+        }
+        if group.sizes:
+            frame["sizes"] = np.asarray(group.sizes, dtype=np.int64)
+        frames.append(frame)
+    return {
+        "cmd": "query",
+        "groups": frames,
+        "requests": [
+            {"index": index, "kind": r.kind, "name": r.name, "args": r.args}
+            for index, r in items
+        ],
+    }
+
+
+_NO_SIZES = np.zeros(0, dtype=np.int64)
+
+
+def _frame_group(frame: Any) -> ColumnGroup:
+    """A decoded group frame as a :class:`ColumnGroup`, or WireFormatError
+    for any frame whose answers could come back misaligned."""
+    if not isinstance(frame, dict):
+        raise WireFormatError(f"group frame must be an object, got {frame!r}")
+    kind = frame.get("kind")
+    spec = KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None or not spec.coalescible:
+        raise WireFormatError(f"group frame names no coalescible kind: {kind!r}")
+    name = frame.get("name")
+    index = frame.get("index")
+    columns = frame.get("columns")
+    sizes = frame.get("sizes", _NO_SIZES)
+    if not isinstance(name, str) or not isinstance(columns, list):
+        raise WireFormatError(f"malformed {kind} group frame")
+    arrays = [index, sizes, *columns]
+    if len(columns) != spec.arity or not all(
+        isinstance(array, np.ndarray) and array.ndim == 1 for array in arrays
+    ):
+        raise WireFormatError(
+            f"{kind} group frame needs 1-D index, sizes and {spec.arity} "
+            f"column array(s)"
+        )
+    if index.dtype.kind != "i" or sizes.dtype.kind != "i":
+        raise WireFormatError(f"{kind} group frame indices must be integers")
+    if any(column.dtype != spec.dtype for column in columns):
+        raise WireFormatError(
+            f"{kind} group frame columns must be {np.dtype(spec.dtype)}"
+        )
+    if len(sizes) > len(index) or np.any(sizes < 0):
+        raise WireFormatError(f"{kind} group frame has invalid sizes")
+    length = len(index) - len(sizes) + int(sizes.sum())
+    if any(len(column) != length for column in columns):
+        raise WireFormatError(
+            f"{kind} group frame columns hold {[len(c) for c in columns]} "
+            f"elements for {length} requested"
+        )
+    return ColumnGroup(name, kind, index.tolist(), tuple(columns), sizes.tolist())
+
+
+def parse_query(
+    message: Dict[str, Any],
+) -> Tuple[List[ColumnGroup], List[Tuple[int, QueryRequest]]]:
+    """Inverse of :func:`query_message`: ``(groups, items)``.
+
+    Raises :class:`WireFormatError` for a frame that could be served
+    misaligned: a column and the indices of different lengths, an unknown
+    kind, or indices that do not number the sub-batch once each.
+    """
+    items = [
+        (
+            int(row["index"]),
+            QueryRequest(
+                kind=str(row["kind"]),
+                name=str(row["name"]),
+                args=tuple(row.get("args", ())),
+            ),
+        )
+        for row in message.get("requests", [])
+    ]
+    groups = [_frame_group(frame) for frame in message.get("groups", [])]
+    positions = [index for index, _ in items]
+    for group in groups:
+        positions.extend(group.index)
+    if sorted(positions) != list(range(len(positions))):
+        raise WireFormatError(
+            "query indices must number the sub-batch 0..n-1, each once"
+        )
+    return groups, items
+
+
+# --------------------------------------------------------------------- #
 # Worker process
 # --------------------------------------------------------------------- #
 
@@ -268,22 +406,14 @@ def _worker_main(
             message = decode_message(raw)
             cmd = message.get("cmd")
             if cmd == "query":
-                requests = [
-                    QueryRequest(
-                        kind=str(row["kind"]),
-                        name=str(row["name"]),
-                        args=tuple(row.get("args", ())),
-                    )
-                    for row in message["requests"]
-                ]
-                results = frontend.serve(requests)
+                answers, results = frontend.serve_columns(*parse_query(message))
                 reply = {
                     "ok": True,
+                    "values": [None if a is None else a[0] for a in answers],
+                    "versions": [None if a is None else a[1] for a in answers],
                     "results": [
                         {
                             "index": r.index,
-                            "name": r.name,
-                            "kind": r.kind,
                             "value": r.value,
                             "version": r.version,
                             "error": r.error,
@@ -715,14 +845,42 @@ class ProcessShardRouter(QueryMethods):
                 )
             return reply
 
+    def _exchange(self, messages: Dict[int, bytes]) -> Dict[int, Dict[str, Any]]:
+        """Send each worker (by index) its message, then read every reply.
+
+        Every reply is read before any failure is raised: a reply left
+        unread in a pipe would be taken as the answer to that worker's
+        next message, silently serving the previous batch's answers.
+        """
+        sent: List[int] = []
+        failure: Optional[Exception] = None
+        for w, message in messages.items():
+            try:
+                self._send(self._workers[w], message)
+            except Exception as exc:
+                failure = exc
+                break
+            sent.append(w)
+        replies: Dict[int, Dict[str, Any]] = {}
+        for w in sent:
+            try:
+                replies[w] = self._recv(self._workers[w], messages[w])
+            except Exception as exc:
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
+        return replies
+
+    def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
+        """One message to every worker; the replies in worker order."""
+        data = encode_message(message)
+        replies = self._exchange({worker.index: data for worker in self._workers})
+        return [replies[worker.index] for worker in self._workers]
+
     def ping(self) -> List[int]:
         """Liveness check; returns each worker's pid."""
-        message = encode_message({"cmd": "ping"})
-        for worker in self._workers:
-            self._send(worker, message)
-        return [
-            int(self._recv(worker, message)["pid"]) for worker in self._workers
-        ]
+        return [int(reply["pid"]) for reply in self._broadcast({"cmd": "ping"})]
 
     def reload(self) -> None:
         """Re-open the store directory from disk, everywhere.
@@ -734,11 +892,7 @@ class ProcessShardRouter(QueryMethods):
         """
         self._load_parent_records()
         self._compute_worker_of_shard()
-        message = encode_message({"cmd": "reload"})
-        for worker in self._workers:
-            self._send(worker, message)
-        for worker in self._workers:
-            self._recv(worker, message)
+        self._broadcast({"cmd": "reload"})
 
     def maybe_reload(self) -> bool:
         """Reload iff the persisted shard map changed; returns whether it
@@ -771,12 +925,8 @@ class ProcessShardRouter(QueryMethods):
 
     def warm(self) -> int:
         """Prefetch prefix tables in every worker; returns resident total."""
-        message = encode_message({"cmd": "warm"})
-        for worker in self._workers:
-            self._send(worker, message)
         return sum(
-            int(self._recv(worker, message)["resident"])
-            for worker in self._workers
+            int(reply["resident"]) for reply in self._broadcast({"cmd": "warm"})
         )
 
     # ------------------------------------------------------------------ #
@@ -786,65 +936,91 @@ class ProcessShardRouter(QueryMethods):
     def serve(self, requests: Sequence[QueryRequest]) -> List[QueryResult]:
         """Answer a multi-name batch; results come back in request order.
 
-        Requests are grouped per worker (by each name's persisted shard),
-        all sub-batches are written before any reply is awaited — workers
-        evaluate concurrently on their own cores — and per-request errors
-        come back in ``QueryResult.error`` exactly as with the in-process
-        front end.
+        Requests are grouped per worker (by each name's persisted shard)
+        and coalesced into column groups exactly as the in-process front
+        end would; all sub-batches are written before any reply is
+        awaited — workers evaluate concurrently on their own cores — and
+        per-request errors come back in ``QueryResult.error`` exactly as
+        with the in-process front end.
         """
-        indexed = list(enumerate(requests))
         self._c_batches.inc()
-        self._c_requests.inc(len(indexed))
+        self._c_requests.inc(len(requests))
         by_worker: Dict[int, List[Tuple[int, QueryRequest]]] = {}
-        for index, request in indexed:
+        for index, request in enumerate(requests):
             w = self._worker_of_shard[self._route_shard(request)]
             by_worker.setdefault(w, []).append((index, request))
+        plans: Dict[int, List[ColumnGroup]] = {}
         messages: Dict[int, bytes] = {}
-        for w, items in by_worker.items():
-            messages[w] = encode_message(
-                {
-                    "cmd": "query",
-                    "requests": [
-                        {
-                            "kind": request.kind,
-                            "name": request.name,
-                            "args": request.args,
-                        }
-                        for _, request in items
-                    ],
-                }
+        for w, owned in by_worker.items():
+            # Positions within the worker's sub-batch go on the wire.
+            local = [(position, item[1]) for position, item in enumerate(owned)]
+            groups, singles = coalesce(local) if self.coalesce else ([], local)
+            plans[w] = groups
+            messages[w] = encode_message(query_message(groups, singles))
+        results: List[Optional[QueryResult]] = [None] * len(requests)
+        for w, reply in self._exchange(messages).items():
+            self._collect(w, by_worker[w], plans[w], reply, results)
+        missing = results.count(None)
+        if missing:
+            raise RuntimeError(
+                f"shard workers left {missing} of {len(requests)} requests "
+                f"unanswered"
             )
-        for w in by_worker:
-            self._send(self._workers[w], messages[w])
-        results: List[Optional[QueryResult]] = [None] * len(indexed)
-        for w, items in by_worker.items():
-            reply = self._recv(self._workers[w], messages[w])
-            rows = reply.get("results", [])
-            if len(rows) != len(items):
+        return results
+
+    @staticmethod
+    def _collect(
+        w: int,
+        owned: List[Tuple[int, QueryRequest]],
+        groups: List[ColumnGroup],
+        reply: Dict[str, Any],
+        results: List[Optional[QueryResult]],
+    ) -> None:
+        """File one worker's reply into ``results`` (caller's order)."""
+        values, versions = reply.get("values"), reply.get("versions")
+        rows = reply.get("results")
+        if not (
+            isinstance(values, list)
+            and isinstance(versions, list)
+            and isinstance(rows, list)
+            and len(values) == len(versions) == len(groups)
+        ):
+            raise RuntimeError(f"shard worker {w} sent a malformed reply")
+        for group, value, version in zip(groups, values, versions):
+            if value is None:  # answered one by one, in the rows
+                continue
+            if (
+                not isinstance(value, np.ndarray)
+                or value.shape != group.columns[0].shape
+            ):
                 raise RuntimeError(
-                    f"shard worker {w} answered {len(rows)} of "
-                    f"{len(items)} requests"
+                    f"shard worker {w} answered a {group.kind} group of "
+                    f"{group.columns[0].size} with {getattr(value, 'shape', value)}"
                 )
-            for row in rows:
-                # row["index"] is the position within the worker's
-                # sub-batch; map it back to the caller's request order.
-                global_index = items[int(row["index"])][0]
-                version = row["version"]
-                # Group-by answers carry a {member: version} dict; scalar
-                # kinds carry one int.
-                if isinstance(version, dict):
-                    version = {str(k): int(v) for k, v in version.items()}
-                else:
-                    version = int(version)
-                results[global_index] = QueryResult(
-                    index=global_index,
-                    name=row["name"],
-                    kind=row["kind"],
-                    value=row["value"],
-                    version=version,
-                    error=row["error"],
+            version = int(version)
+            for position, answer in zip(group.index, group.values(value)):
+                index, request = owned[position]
+                results[index] = QueryResult(
+                    index, request.name, request.kind, answer, version
                 )
-        return [r for r in results if r is not None]
+        for row in rows:
+            position = int(row["index"])
+            if not 0 <= position < len(owned):
+                raise RuntimeError(
+                    f"shard worker {w} answered request {position} of "
+                    f"{len(owned)}"
+                )
+            index, request = owned[position]
+            version = row["version"]
+            # Group-by answers carry a {member: version} dict; scalar
+            # kinds carry one int.
+            if isinstance(version, dict):
+                version = {str(k): int(v) for k, v in version.items()}
+            else:
+                version = int(version)
+            results[index] = QueryResult(
+                index, request.name, request.kind, row["value"], version, row["error"]
+            )
 
     def query(self, kind: str, name: Any, *args: Any) -> Tuple[Any, Any]:
         """One request through the workers, unwrapped: ``(value, version)``.
@@ -892,27 +1068,18 @@ class ProcessShardRouter(QueryMethods):
             check_entry_name(name)
             if name in self._records:
                 raise ValueError(duplicate_entry_message(name))
-        message = encode_message(
-            {
-                "cmd": "register_many",
-                "datasets": [
-                    {
-                        "name": name,
-                        "data": np.asarray(data, dtype=np.float64),
-                    }
-                    for name, data in items
-                ],
-                "budget": budget.to_dict(),
-                "cohort": cohort,
-                "families": None if families is None else list(families),
-                "k_grid": None if k_grid is None else [int(k) for k in k_grid],
-            }
-        )
-        for worker in self._workers:
-            self._send(worker, message)
-        rows: List[Dict[str, Any]] = []
-        for worker in self._workers:
-            rows = self._recv(worker, message)["registered"]
+        message = {
+            "cmd": "register_many",
+            "datasets": [
+                {"name": name, "data": np.asarray(data, dtype=np.float64)}
+                for name, data in items
+            ],
+            "budget": budget.to_dict(),
+            "cohort": cohort,
+            "families": None if families is None else list(families),
+            "k_grid": None if k_grid is None else [int(k) for k in k_grid],
+        }
+        rows = self._broadcast(message)[-1]["registered"]
         from .router import stable_shard
 
         for row in rows:
@@ -944,11 +1111,9 @@ class ProcessShardRouter(QueryMethods):
         """
         merged = MetricsRegistry()
         merged.merge_from(self.registry)
-        message = encode_message({"cmd": "metrics"})
-        for worker in self._workers:
-            self._send(worker, message)
-        for worker in self._workers:
-            state = self._recv(worker, message)["state"]
+        replies = self._broadcast({"cmd": "metrics"})
+        for worker, reply in zip(self._workers, replies):
+            state = reply["state"]
             for row in state.get("series", []):
                 row.setdefault("labels", {})["worker"] = str(worker.index)
             merged.merge_from(MetricsRegistry.from_state(state))

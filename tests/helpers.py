@@ -16,12 +16,15 @@ from repro import (
     Histogram,
     Partition,
     PiecewisePolynomial,
+    QueryRequest,
     SparseFunction,
     fit_polynomial,
     wavelet_synopsis,
 )
 
 __all__ = [
+    "assert_same_answers",
+    "coalescing_batch",
     "dense_arrays",
     "histograms",
     "piecewise_polynomials",
@@ -45,6 +48,78 @@ def summary_metadata(store):
         row.pop("hydrated", None)
         row.pop("resident_bytes", None)
     return rows
+
+
+def coalescing_batch(names, n, seed=3):
+    """One batch over every coalescing route of the serving front ends.
+
+    ``names[:-1]`` get many same-entry groups: 1-D array requests mixed
+    with scalar requests of every coalescible kind, as Python ints and
+    floats, NumPy scalars, bools and 0-d arrays.  ``names[-1]`` gets one
+    request per kind, so each of its groups holds one request.
+    """
+    rng = np.random.default_rng(seed)
+    hot, single = list(names[:-1]) or list(names), names[-1]
+
+    def position():
+        return int(rng.integers(0, n))
+
+    requests = []
+    for _ in range(12):  # 1-D array requests
+        a = rng.integers(0, n, 8)
+        b = rng.integers(0, n, 8)
+        name = hot[int(rng.integers(len(hot)))]
+        requests.append(
+            QueryRequest("range_sum", name, (np.minimum(a, b), np.maximum(a, b)))
+        )
+    for _ in range(30):  # scalar requests, every coalescible kind
+        name = hot[int(rng.integers(len(hot)))]
+        lo, hi = sorted((position(), position()))
+        q = float(rng.random())
+        requests.extend(
+            [
+                QueryRequest("range_sum", name, (lo, hi)),
+                QueryRequest("range_mean", name, (np.int64(lo), hi)),
+                QueryRequest("point_mass", name, (np.int32(position()),)),
+                QueryRequest("cdf", name, (position(),)),
+                QueryRequest("quantile", name, (q,)),
+                QueryRequest("quantile", name, (np.float32(q),)),
+            ]
+        )
+    requests.extend(
+        [
+            QueryRequest("point_mass", hot[0], (True,)),
+            QueryRequest("range_sum", hot[0], (False, np.bool_(True))),
+            QueryRequest("quantile", hot[0], (True,)),
+            QueryRequest("cdf", hot[0], (np.asarray(position()),)),
+            QueryRequest("range_mean", hot[0], (np.asarray([1, 2]), 5)),
+            QueryRequest("range_sum", single, (3, n - 1)),
+            QueryRequest("range_mean", single, (np.asarray([0, 4]), 9)),
+            QueryRequest("point_mass", single, (np.int64(position()),)),
+            QueryRequest("cdf", single, (position(),)),
+            QueryRequest("quantile", single, (0.5,)),
+        ]
+    )
+    order = rng.permutation(len(requests))
+    return [requests[i] for i in order]
+
+
+def assert_same_answers(got, want):
+    """Results agree bit for bit: values (same Python or NumPy types),
+    versions and error-ness, request by request."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.index, g.name, g.kind) == (w.index, w.name, w.kind)
+        assert g.version == w.version
+        assert (g.error is None) == (w.error is None), (g.error, w.error)
+        assert type(g.value) is type(w.value), (g, w)
+        if isinstance(w.value, np.ndarray):
+            assert g.value.dtype == w.value.dtype
+            assert g.value.tobytes() == w.value.tobytes()
+        elif isinstance(w.value, float):
+            assert np.float64(g.value).tobytes() == np.float64(w.value).tobytes()
+        else:
+            assert g.value == w.value
 
 
 def dense_arrays(min_size: int = 1, max_size: int = 40):

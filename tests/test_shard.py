@@ -39,7 +39,7 @@ from repro.serve.persistence import (
 )
 from repro.serve.router import stable_shard
 
-from helpers import summary_metadata
+from helpers import assert_same_answers, coalescing_batch, summary_metadata
 from test_persistence import FIXTURES
 
 
@@ -340,13 +340,18 @@ class TestFrontend:
             b = rng.integers(0, 240, 8)
             a, b = np.minimum(a, b), np.maximum(a, b)
             requests.append(QueryRequest("range_sum", name, (a, b)))
+        # Scalar requests of every coalescible kind (Python and NumPy
+        # scalars, bools, 0-d arrays), groups of one, and groups mixing
+        # scalar and array requests.
+        requests += coalescing_batch(NAMES[:4], 240)
         with AsyncServingFrontend(router, coalesce=True) as on, \
                 AsyncServingFrontend(router, coalesce=False) as off:
             merged = on.serve(requests)
             individual = off.serve(requests)
-        for lhs, rhs in zip(merged, individual):
-            np.testing.assert_array_equal(lhs.value, rhs.value)
-            assert lhs.version == rhs.version
+            coalesced = on.registry.get("frontend_coalesced_requests_total")
+        assert all(r.ok for r in individual)
+        assert_same_answers(merged, individual)
+        assert coalesced.value > len(requests) // 2
 
     def test_coalescing_mixed_shape_args_do_not_cross(self, pair):
         """Regression: a request with (array, scalar) or mismatched-length
@@ -417,6 +422,43 @@ class TestFrontend:
         results = frontend.serve(requests)
         assert results[0].ok and results[2].ok
         assert not results[1].ok
+
+    def test_position_beyond_int64_is_a_request_error(self, pair, frontend):
+        engine, _ = pair
+        name = NAMES[0]
+        huge = QueryRequest("range_sum", name, (2**70, 5))
+        (alone,) = frontend.serve([huge])
+        assert not alone.ok and "too large" in alone.error
+        # Inside a coalesced group: only the offender fails.
+        results = frontend.serve(
+            [
+                QueryRequest("range_sum", name, (0, 10)),
+                huge,
+                QueryRequest("range_sum", name, (3, 7)),
+                QueryRequest("point_mass", name, (-(2**70),)),
+            ]
+        )
+        assert [r.ok for r in results] == [True, False, True, False]
+        assert results[0].value == engine.range_sum(name, 0, 10)
+        assert results[2].value == engine.range_sum(name, 3, 7)
+
+    def test_nan_quantile_level_is_a_request_error(self, pair, frontend):
+        engine, _ = pair
+        name = NAMES[0]
+        for level in (float("nan"), np.asarray([0.5, np.nan])):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                engine.quantile(name, level)
+        results = frontend.serve(
+            [
+                QueryRequest("quantile", name, (0.5,)),
+                QueryRequest("quantile", name, (float("nan"),)),
+                QueryRequest("quantile", name, (0.25,)),
+            ]
+        )
+        assert [r.ok for r in results] == [True, False, True]
+        assert "must lie in [0, 1]" in results[1].error
+        assert results[0].value == engine.quantile(name, 0.5)
+        assert results[2].value == engine.quantile(name, 0.25)
 
     def test_invalid_request_construction(self):
         with pytest.raises(ValueError, match="unknown query kind"):

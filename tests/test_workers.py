@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import summary_metadata
+from helpers import assert_same_answers, coalescing_batch, summary_metadata
 from repro import ShardRouter, StoreCorruptionError, SynopsisStore
 from repro.__main__ import main
-from repro.serve.frontend import AsyncServingFrontend, QueryRequest
+from repro.serve.frontend import AsyncServingFrontend, QueryRequest, coalesce
 from repro.serve.persistence import save_sharded, save_store
 from repro.serve.workers import (
     ProcessShardRouter,
@@ -24,6 +24,8 @@ from repro.serve.workers import (
     WorkerCrashError,
     decode_message,
     encode_message,
+    parse_query,
+    query_message,
 )
 
 
@@ -129,6 +131,69 @@ class TestWireCodec:
             decode_message(data)
 
 
+def wire_query(requests):
+    """A sub-batch as the parent coalesces and sends it, decoded again."""
+    groups, singles = coalesce(list(enumerate(requests)))
+    return groups, singles, decode_message(
+        encode_message(query_message(groups, singles))
+    )
+
+
+class TestQueryMessage:
+    def test_roundtrip_keeps_groups_and_rows(self):
+        requests = coalescing_batch(["a", "b"], 256) + [
+            QueryRequest("top_k", "a", (3,)),
+            QueryRequest("range_sum", "a", (np.zeros((2, 2), dtype=int), 5)),
+        ]
+        groups, singles, message = wire_query(requests)
+        assert any(group.sizes for group in groups)  # array requests too
+        got_groups, got_items = parse_query(message)
+        assert len(got_groups) == len(groups)
+        for got, sent in zip(got_groups, groups):
+            assert (got.name, got.kind) == (sent.name, sent.kind)
+            assert got.index == sent.index and got.sizes == sent.sizes
+            assert len(got.columns) == len(sent.columns)
+            for lhs, rhs in zip(got.columns, sent.columns):
+                assert lhs.dtype == rhs.dtype
+                np.testing.assert_array_equal(lhs, rhs)
+        assert [index for index, _ in got_items] == [i for i, _ in singles]
+        for (_, got), (_, sent) in zip(got_items, singles):
+            assert (got.kind, got.name) == (sent.kind, sent.name)
+            for lhs, rhs in zip(got.args, sent.args):
+                np.testing.assert_array_equal(lhs, rhs)
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            # an argument column one element short of the indices
+            (lambda frame: frame["columns"].__setitem__(
+                0, frame["columns"][0][:-1]), "elements"),
+            # an index outside the sub-batch
+            (lambda frame: frame["index"].__setitem__(0, 10_000), "number the"),
+            # a repeated index
+            (lambda frame: frame["index"].__setitem__(0, frame["index"][1]),
+             "each once"),
+            # a kind no group can hold
+            (lambda frame: frame.__setitem__("kind", "bogus"), "kind"),
+            (lambda frame: frame.__setitem__("kind", "top_k"), "kind"),
+            # a column of the wrong dtype or arity
+            (lambda frame: frame["columns"].__setitem__(
+                0, frame["columns"][0].astype(np.float64)), "dtype|int64"),
+            (lambda frame: frame["columns"].append(frame["columns"][0]),
+             "column array"),
+            (lambda frame: frame.__setitem__("sizes", np.asarray([-1])),
+             "sizes"),
+        ],
+    )
+    def test_malformed_group_frame_rejected(self, corrupt, match):
+        requests = [QueryRequest("range_sum", "a", (i, i + 3)) for i in range(4)]
+        _, _, message = wire_query(requests)
+        (frame,) = message["groups"]
+        corrupt(frame)
+        with pytest.raises(WireFormatError, match=match):
+            parse_query(message)
+
+
 # --------------------------------------------------------------------- #
 # ProcessShardRouter
 # --------------------------------------------------------------------- #
@@ -154,6 +219,62 @@ class TestProcessShardRouter:
             prouter.describe("a")["shard"] == 1
         )
         assert_results_match(prouter.serve(requests), inproc)
+        # Scalar requests of every coalescible kind, NumPy/bool args,
+        # groups of one and mixed scalar/array groups: bit for bit.
+        batch = coalescing_batch(["a", "b"], 256)
+        with AsyncServingFrontend(router) as frontend:
+            want = frontend.serve(batch)
+        assert all(r.ok for r in want)
+        assert_same_answers(prouter.serve(batch), want)
+
+    def test_position_beyond_int64_is_a_request_error(self, served):
+        prouter, router, _, _ = served
+        results = prouter.serve(
+            [
+                QueryRequest("range_sum", "a", (0, 10)),
+                QueryRequest("range_sum", "a", (2**70, 5)),
+                QueryRequest("range_sum", "b", (0, 10)),
+                QueryRequest("range_sum", "a", (3, 7)),
+            ]
+        )
+        assert [r.ok for r in results] == [True, False, True, True]
+        assert "too large" in results[1].error
+        assert results[0].value == router.range_sum("a", 0, 10)
+        assert results[2].value == router.range_sum("b", 0, 10)
+        assert results[3].value == router.range_sum("a", 3, 7)
+
+    def test_worker_error_leaves_pipes_in_step(self, served):
+        """Regression: when one worker rejects its sub-batch, the other
+        workers' replies must still be read, or the next batch on those
+        workers is answered with this batch's values."""
+        prouter, router, _, _ = served
+        assert prouter._worker_of_shard[prouter._shard_index("a")] != (
+            prouter._worker_of_shard[prouter._shard_index("b")]
+        )
+        bad = QueryRequest("range_sum", "a", (0, 5))
+        object.__setattr__(bad, "args", (0,))  # fails the worker's arity check
+        with pytest.raises(RuntimeError, match="takes 2"):
+            prouter.serve([bad, QueryRequest("range_sum", "b", (0, 10))])
+        got = prouter.serve(
+            [
+                QueryRequest("range_sum", "b", (0, 200)),
+                QueryRequest("range_sum", "a", (0, 100)),
+            ]
+        )
+        assert got[0].value == router.range_sum("b", 0, 200)
+        assert got[1].value == router.range_sum("a", 0, 100)
+
+    def test_malformed_frame_rejected_by_worker(self, served):
+        prouter, router, _, _ = served
+        _, _, message = wire_query(
+            [QueryRequest("range_sum", "a", (i, i + 3)) for i in range(4)]
+        )
+        message["groups"][0]["index"][0] = 7
+        worker = prouter._worker_of_shard[prouter._shard_index("a")]
+        with pytest.raises(RuntimeError, match="WireFormatError"):
+            prouter._exchange({worker: encode_message(message)})
+        (result,) = prouter.serve([QueryRequest("range_sum", "a", (0, 100))])
+        assert result.value == router.range_sum("a", 0, 100)
 
     def test_single_query_surface(self, served):
         prouter, router, _, _ = served
