@@ -39,20 +39,16 @@ holding the target shard's write lock — so a streaming refresh can never
 race a query against a half-bumped entry, and every answer is
 attributable to one consistent ``(name, version)`` snapshot.
 
-Placement is *skew-aware*: entries with read replicas in the shard map
-have their coalescible reads fanned round-robin across the primary and
-replica shards, with version-checked fan-in — an answer computed on a
-replica whose snapshot trails the primary's live version is recomputed
-on the primary instead of served stale.  And because
-``ShardRouter.migrate`` can move an entry between the route decision and
-the evaluation, a miss on the routed shard re-resolves against the
-*current* map and retries there, so live migration never drops a query.
+Every entry has exactly one placement: a request goes to the shard the
+router's map assigns its name.  Because ``ShardRouter.migrate`` can move
+an entry between the route decision and the evaluation, a miss on the
+routed shard re-resolves against the *current* map and retries there,
+so live migration never drops a query.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import time
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
@@ -347,21 +343,10 @@ class AsyncServingFrontend:
             "frontend_request_errors_total",
             "requests that returned a per-request error",
         )
-        self._c_replica_reads = self.registry.counter(
-            "frontend_replica_reads_total",
-            "coalescible reads routed to a replica shard",
-        )
-        self._c_replica_stale = self.registry.counter(
-            "frontend_replica_stale_fallbacks_total",
-            "replica answers recomputed on the primary (stale snapshot)",
-        )
         self._c_migrated_retries = self.registry.counter(
             "frontend_migrated_retries_total",
             "requests re-served on the current shard after a live migration",
         )
-        # Round-robin cursor for replica fan-out; itertools.count is
-        # effectively atomic under the GIL, so routing stays lock-free.
-        self._rr = itertools.count()
         # Batch sizes are counts, not seconds: buckets 1..~1M instead of
         # the latency range.
         self._h_batch_size = self.registry.histogram(
@@ -414,48 +399,8 @@ class AsyncServingFrontend:
         return instruments
 
     # ------------------------------------------------------------------ #
-    # Routing (replica fan-out, migration drain)
+    # Migration drain
     # ------------------------------------------------------------------ #
-
-    def _route(self, kind: str, name: str) -> int:
-        """The shard index to evaluate a ``kind`` read of ``name`` on.
-
-        Coalescible reads of a replicated entry fan round-robin across
-        the primary and replica shards; everything else — writes,
-        heavy_hitters (needs the live learner, which replicas don't
-        carry), top_k, inner_product — goes to the primary.
-        """
-        shard_map = self.router.shard_map
-        if KINDS[kind].coalescible:
-            placements = shard_map.placements_of(name)
-            if len(placements) > 1:
-                return placements[next(self._rr) % len(placements)]
-        return shard_map.shard_of(name)
-
-    def _replica_fallback(
-        self, shard: Shard, name: str, version: int
-    ) -> Optional[Shard]:
-        """Version-checked fan-in for replica answers.
-
-        When ``shard`` is not ``name``'s primary, the snapshot version it
-        served is compared against the primary entry's live version; if
-        the replica trails (a refresh/extend landed on the primary and
-        propagation hasn't reached this shard yet), the primary shard is
-        returned so the caller recomputes there instead of serving stale.
-        """
-        primary_index = self.router.shard_map.shard_of(name)
-        if primary_index == shard.index:
-            return None
-        self._c_replica_reads.inc()
-        primary = self.router.shards[primary_index]
-        try:
-            current = primary.store[name].version
-        except KeyError:  # mid-migration; the snapshot we have is fine
-            return None
-        if current > version:
-            self._c_replica_stale.inc()
-            return primary
-        return None
 
     def _migration_target(
         self, shard: Shard, name: str, exc: Exception
@@ -463,9 +408,9 @@ class AsyncServingFrontend:
         """Where to retry after a miss caused by a live migration.
 
         A KeyError on the routed shard when the *current* map places the
-        name elsewhere means the entry moved (or its replica was dropped)
-        between routing and evaluation — the defining race of
-        ``ShardRouter.migrate``.  Any other failure returns None.
+        name elsewhere means the entry moved between routing and
+        evaluation — the defining race of ``ShardRouter.migrate``.  Any
+        other failure returns None.
         """
         if not isinstance(exc, KeyError):
             return None
@@ -523,6 +468,7 @@ class AsyncServingFrontend:
         self._c_requests.inc(count)
         self._h_batch_size.observe(max(count, 1))
         with trace.span("route", requests=count):
+            shard_of = self.router.shard_map.shard_of
             by_shard: Dict[int, Tuple[list, list]] = {}
             group_items: List[Tuple[int, QueryRequest]] = []
             for index, request in items:
@@ -531,13 +477,13 @@ class AsyncServingFrontend:
                     # pool job instead of landing on any one shard.
                     group_items.append((index, request))
                     continue
-                shard = self._route(request.kind, request.name)
+                shard = shard_of(request.name)
                 work = by_shard.get(shard)
                 if work is None:
                     work = by_shard[shard] = ([], [])
                 work[0].append((index, request))
             for group in groups:
-                shard = self._route(group.kind, group.name)
+                shard = shard_of(group.name)
                 by_shard.setdefault(shard, ([], []))[1].append(group)
         loop = asyncio.get_running_loop()
         jobs = [
@@ -821,21 +767,14 @@ class AsyncServingFrontend:
     ) -> Tuple[Any, Any]:
         """``(value, version)`` of one engine call routed to ``shard``.
 
-        A replica's answer is recomputed on the primary when its snapshot
-        trails it; a miss caused by a live migration retries on the
-        entry's current shard.  Any other failure raises.
+        A miss caused by a live migration retries on the entry's current
+        shard.  Any other failure raises.
         """
         try:
             if KINDS[kind].coalescible:
-                # Replica-servable: answer on the routed shard, recomputing
-                # on the primary if that snapshot trails it.
-                value, version = shard.engine.query(kind, name, *args)
-                fallback = self._replica_fallback(shard, name, version)
-                if fallback is not None:
-                    value, version = fallback.engine.query(kind, name, *args)
-                return value, version
-            # Primary-only kinds; a pair's partner may live on another
-            # shard, which the router resolves.
+                return shard.engine.query(kind, name, *args)
+            # A pair's partner may live on another shard, which the
+            # router resolves.
             return self.router.query(kind, name, *args)
         except _REQUEST_ERRORS as exc:
             retry = self._migration_target(shard, name, exc)

@@ -134,7 +134,7 @@ class QueryKind:
     over array arguments and reads every one of them as ``dtype``, so
     requests stack into one argument column per parameter (cast exactly
     as the evaluator would cast each request) and the answer splits back
-    per request.  That is also what lets a read replica serve them.
+    per request.
     """
 
     name: str

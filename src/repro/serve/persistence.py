@@ -72,12 +72,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import shutil
 import uuid
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -144,10 +145,12 @@ STORE_SCHEMA_VERSION = 5
 MMAP_SCHEMA_VERSION = 4
 NPZ_SCHEMA_VERSION = 3
 SHARDED_FORMAT = "repro-synopsis-store-sharded"
-# Sharded schema 2: the shard map carries replica sets and a map version
-# (skew-aware placement).  Schema-1 parent manifests still load — the
-# new fields default to empty — and loaders older than the bump refuse
-# newer stores cleanly, exactly like the per-store schema history.
+# Sharded schema 2: the shard map carries a map version (skew-aware
+# placement; stores written before read replicas were retired may also
+# carry a "replicas" table, which loads and is ignored).  Schema-1
+# parent manifests still load — the version defaults to 0 — and loaders
+# older than the bump refuse newer stores cleanly, exactly like the
+# per-store schema history.
 # Sharded schema 3: the parent manifest may carry a router-level
 # ``"cohorts"`` table (members may span shards).  Schema 1-2 manifests
 # load unchanged with no cohorts.
@@ -278,49 +281,24 @@ def _write_store_contents(
     target: Path,
     layout: str = "mmap",
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    exclude: Optional[Set[str]] = None,
 ) -> None:
     """Write one store's payloads + manifest into ``target`` (no atomicity).
 
     Callers own crash safety: ``target`` must be inside a temporary
-    directory that is atomically published afterwards.  Names in
-    ``exclude`` are skipped — ``save_sharded`` uses this to keep replica
-    copies out of shard directories, since replicas are rebuilt from
-    the primary (plus the map's replica sets) on load.
+    directory that is atomically published afterwards.
     """
     _check_layout(layout)
     if layout == "npz":
-        _write_store_contents_npz(store, target, exclude)
+        _write_store_contents_npz(store, target)
     else:
-        _write_store_contents_mmap(store, target, segment_size, exclude)
+        _write_store_contents_mmap(store, target, segment_size)
 
 
-def _store_names(store: SynopsisStore, exclude: Optional[Set[str]]) -> List[str]:
-    if not exclude:
-        return store.names()
-    return [name for name in store.names() if name not in exclude]
-
-
-def _saveable_cohorts(
-    store: SynopsisStore, exclude: Optional[Set[str]]
-) -> Dict[str, List[str]]:
-    """The store's cohort table restricted to members this save writes."""
-    saved = set(_store_names(store, exclude))
-    cohorts = {}
-    for cohort, members in store.cohorts().items():
-        kept = [name for name in members if name in saved]
-        if kept:
-            cohorts[cohort] = kept
-    return cohorts
-
-
-def _write_store_contents_npz(
-    store: SynopsisStore, target: Path, exclude: Optional[Set[str]] = None
-) -> None:
+def _write_store_contents_npz(store: SynopsisStore, target: Path) -> None:
     """The legacy per-entry-npz layout, stamped at schema 3."""
     store_uid = uuid.uuid4().hex
     entries = []
-    for index, name in enumerate(_store_names(store, exclude)):
+    for index, name in enumerate(store.names()):
         entry = store[name]
         entry.hydrate()
         payload_name = f"entry-{index:04d}.npz"
@@ -333,7 +311,7 @@ def _write_store_contents_npz(
         "entries": entries,
         "last_versions": dict(store._last_versions),
     }
-    cohorts = _saveable_cohorts(store, exclude)
+    cohorts = {name: list(members) for name, members in store.cohorts().items()}
     if cohorts:
         # Additive key: schema stays 3, older readers ignore it.
         manifest["cohorts"] = cohorts
@@ -345,14 +323,13 @@ def _write_store_contents_mmap(
     store: SynopsisStore,
     target: Path,
     segment_size: int,
-    exclude: Optional[Set[str]] = None,
 ) -> None:
     """The schema-4 segmented mmap layout."""
     segment_size = int(segment_size)
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
     store_uid = uuid.uuid4().hex
-    names = _store_names(store, exclude)
+    names = store.names()
     segments = []
     for seg_index, start in enumerate(range(0, len(names), segment_size)):
         chunk = names[start : start + segment_size]
@@ -382,7 +359,7 @@ def _write_store_contents_mmap(
                 "names": chunk,
             }
         )
-    cohorts = _saveable_cohorts(store, exclude)
+    cohorts = {name: list(members) for name, members in store.cohorts().items()}
     manifest = {
         "format": STORE_FORMAT,
         # Cohort-less stores stamp schema 4 so readers predating the
@@ -400,25 +377,77 @@ def _write_store_contents_mmap(
         json.dump(manifest, handle, indent=1)
 
 
+def _fsync(path: Path) -> None:
+    """Flush ``path`` (a file or a directory) to stable storage."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _sync_tree(root: Path) -> None:
+    """Fsync every file under ``root``, then each directory bottom-up."""
+    for dirpath, _dirnames, filenames in os.walk(root, topdown=False):
+        for filename in filenames:
+            _fsync(Path(dirpath) / filename)
+        _fsync(Path(dirpath))
+
+
 def _atomic_publish(tmp: Path, path: Path, token: str) -> None:
     """Swap the fully-written ``tmp`` directory into place at ``path``.
 
-    Any error during the swap rolls the previous directory back, so a
-    failure leaves the previous store intact — except for a hard process
-    kill inside the two-rename window itself (microseconds; the previous
-    store then survives in a ``.<name>.old-*`` sibling).
+    Every file and directory under ``tmp`` is fsynced before the swap,
+    and the parent directory after each rename, so a published store is
+    on disk, not just in the page cache.  Any error during the swap
+    rolls the previous directory back, so a failure leaves the previous
+    store intact — except for a hard process kill inside the two-rename
+    window itself (microseconds; the previous store then survives in a
+    ``.<name>.old-*`` sibling, which the next load renames back: see
+    :func:`_recover_publish`).
     """
+    _sync_tree(tmp)
     if path.exists():
         old = path.parent / f".{path.name}.old-{token}"
         os.rename(path, old)
+        _fsync(path.parent)
         try:
             os.rename(tmp, path)
         except BaseException:
             os.rename(old, path)  # roll the previous store back in
             raise
-        shutil.rmtree(old)
+        _fsync(path.parent)
+        # A load may already have swept the sibling (see _recover_publish).
+        shutil.rmtree(old, ignore_errors=True)
     else:
         os.rename(tmp, path)
+        _fsync(path.parent)
+
+
+def _recover_publish(path: Path) -> None:
+    """Repair what a publish killed mid-swap leaves next to ``path``.
+
+    A kill between :func:`_atomic_publish`'s two renames leaves no
+    ``path`` and the previous store in one ``.<name>.old-*`` sibling:
+    rename it back.  A kill after the swap but before the sibling was
+    removed leaves ``path`` plus a stale sibling: remove it.  Zero or
+    several orphans with ``path`` missing are left alone (nothing, or
+    nothing unambiguous, to recover).
+    """
+    pattern = re.compile(re.escape(f".{path.name}.old-") + "[0-9a-f]{8}")
+    try:
+        orphans = [p for p in path.parent.iterdir() if pattern.fullmatch(p.name)]
+    except OSError:
+        return
+    if path.exists():
+        for orphan in orphans:
+            shutil.rmtree(orphan, ignore_errors=True)
+    elif len(orphans) == 1:
+        try:
+            os.rename(orphans[0], path)
+        except OSError:
+            return  # a concurrent publish got there first
+        _fsync(path.parent)
 
 
 def save_store(
@@ -435,8 +464,8 @@ def save_store(
     ``segment_size`` bounds entries per segment in the mmap layout.
 
     All payloads and the manifest are written to a temporary sibling
-    directory first; only after every byte is on disk is the target swapped
-    in by rename (see :func:`_atomic_publish`).  Refuses to replace an
+    directory first; only after every byte is fsynced to disk is the
+    target swapped in by rename (see :func:`_atomic_publish`).  Refuses to replace an
     existing directory that is not a synopsis store (and not empty), so a
     typo cannot clobber other data.
 
@@ -496,15 +525,6 @@ def save_sharded(
             # them all in index order cannot deadlock against them.
             for shard in router.shards:
                 stack.enter_context(shard.write_lock)
-            # Replica copies stay out of the shard directories: the map's
-            # replica sets are the source of truth, and load_sharded
-            # re-installs replicas from each primary.  Persisting the
-            # copies too would double-store payloads and, worse, let a
-            # stale replica resurrect as a primary under a future map.
-            replicas_by_shard: Dict[int, Set[str]] = {}
-            for name, replicas in router.shard_map.replica_sets().items():
-                for index in replicas:
-                    replicas_by_shard.setdefault(index, set()).add(name)
             shard_dirs = []
             for shard in router.shards:
                 shard_dir = f"shard-{shard.index:04d}"
@@ -514,7 +534,6 @@ def save_sharded(
                     tmp / shard_dir,
                     layout=layout,
                     segment_size=segment_size,
-                    exclude=replicas_by_shard.get(shard.index),
                 )
                 shard_dirs.append(shard_dir)
             cohorts = {
@@ -567,8 +586,11 @@ def detect_store_format(path: Union[str, Path]) -> str:
     """``"store"`` or ``"sharded"``, from the directory's manifest tag.
 
     Lets the CLI route ``load`` / ``inspect`` / ``serve --store-dir``
-    transparently without the operator naming the layout.
+    transparently without the operator naming the layout.  Like the
+    loaders, first repairs an interrupted publish (see
+    :func:`_recover_publish`).
     """
+    _recover_publish(Path(path))
     manifest = _read_raw_manifest(Path(path))
     fmt = manifest.get("format")
     if fmt == STORE_FORMAT:
@@ -910,8 +932,10 @@ def load_store(
     store only the segments holding those names are read or checked at
     all, so a selective load of a million-entry store is O(selection).
     ``store_cls`` lets :meth:`SynopsisStore.load` return subclasses.
+    An interrupted publish is repaired first (see :func:`_recover_publish`).
     """
     path = Path(path)
+    _recover_publish(path)
     manifest = read_manifest(path)
     last_versions = _parse_last_versions(manifest, path)
     wanted = None if names is None else {str(name) for name in names}
@@ -1127,11 +1151,13 @@ def load_sharded(
     the hash, so entries stay where they were saved even across library
     versions.  Raises :exc:`StoreCorruptionError` when a shard directory
     is missing, a shard holds an entry the map places elsewhere, or the
-    map names a shard out of range.
+    map names a shard out of range.  An interrupted publish is repaired
+    first (see :func:`_recover_publish`).
     """
     from .router import ShardMap, ShardRouter
 
     path = Path(path)
+    _recover_publish(path)
     manifest = read_sharded_manifest(path)
     try:
         shard_map = ShardMap.from_dict(manifest["shard_map"])

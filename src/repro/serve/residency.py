@@ -12,8 +12,8 @@ Victim selection consults the same notion of "hot" the PR 8 rebalancer
 uses: when a :class:`~repro.serve.loadstats.HotnessTracker` is attached,
 the coldest entry by decayed QPS cools first; without one, plain LRU
 order over hydration touches.  Either way only *evictable* entries ever
-enter the candidate set (streaming-backed, replica-pinned, and
-in-memory-built entries cannot cool), so a budget smaller than the
+enter the candidate set (streaming-backed and in-memory-built entries
+cannot cool), so a budget smaller than the
 non-evictable mass converges to "everything evictable cooled" rather
 than spinning.
 
@@ -125,7 +125,7 @@ class ResidencyManager:
         """Cool entries until the budget holds; returns entries cooled.
 
         Stops early when no evictable candidates remain (the residual
-        resident mass is streaming/pinned/in-memory entries that cannot
+        resident mass is streaming/in-memory entries that cannot
         cool).  A candidate whose ``cool()`` returns 0 — rehydrated with
         a new non-evictable identity, or removed — is simply dropped
         from the LRU and the loop continues.

@@ -55,7 +55,6 @@ Design points:
 
 from __future__ import annotations
 
-import itertools
 import json
 import multiprocessing
 import multiprocessing.connection
@@ -366,9 +365,9 @@ def _worker_main(
     builds a local router + front end over it, acknowledges readiness,
     then answers commands until ``shutdown`` or EOF.  Sharded stores
     load through :func:`load_sharded`, so the worker's router carries
-    the *persisted* shard map — sticky assignments and replica sets
-    included — and a ``reload`` after an external rebalance picks the
-    new placement up from disk.
+    the *persisted* shard map — sticky assignments included — and a
+    ``reload`` after an external rebalance picks the new placement up
+    from disk.
     """
     import os
 
@@ -487,6 +486,25 @@ class _Worker:
         self.restarts = 0
 
 
+def _assignments(manifest: Dict[str, Any], path: Path) -> Dict[str, int]:
+    """A sharded parent manifest's name-to-shard assignments.
+
+    A legacy ``replicas`` table (read replicas, since retired) must be a
+    mapping, like :meth:`~repro.serve.router.ShardMap.from_dict` checks,
+    and is otherwise ignored.
+    """
+    shard_map = manifest["shard_map"]
+    assignments = shard_map.get("assignments", {})
+    if not isinstance(assignments, dict) or not isinstance(
+        shard_map.get("replicas", {}), dict
+    ):
+        raise StoreCorruptionError(f"invalid shard map in {path}")
+    try:
+        return {str(name): int(shard) for name, shard in assignments.items()}
+    except (TypeError, ValueError) as exc:
+        raise StoreCorruptionError(f"invalid shard map in {path}: {exc}") from exc
+
+
 class ProcessShardRouter(QueryMethods):
     """Serve a persisted store from N worker processes.
 
@@ -546,9 +564,6 @@ class ProcessShardRouter(QueryMethods):
         self.num_workers = min(requested, shard_count)
         self._ctx = multiprocessing.get_context("spawn")
         self._compute_worker_of_shard()
-        # Round-robin cursor for replica fan-out across workers (mirrors
-        # the in-process front end's).
-        self._rr = itertools.count()
         self._workers = [_Worker(w) for w in range(self.num_workers)]
         try:
             for worker in self._workers:
@@ -579,16 +594,7 @@ class ProcessShardRouter(QueryMethods):
             self._shard_dirs = [
                 self.store_dir / d for d in manifest["shard_dirs"]
             ]
-            shard_map = manifest["shard_map"]
-            assignments = shard_map.get("assignments", {})
-            self._shard_of_name = {
-                str(name): int(shard) for name, shard in assignments.items()
-            }
-            self._replicas_of_name = {
-                str(name): [int(index) for index in replicas]
-                for name, replicas in shard_map.get("replicas", {}).items()
-                if replicas
-            }
+            self._shard_of_name = _assignments(manifest, self.store_dir)
             self.num_shards = int(manifest["num_shards"])
             name_order = list(self._shard_of_name)
         else:
@@ -597,12 +603,11 @@ class ProcessShardRouter(QueryMethods):
             )
             self._shard_dirs = [self.store_dir]
             self._shard_of_name = {}
-            self._replicas_of_name = {}
             self.num_shards = 1
             name_order = []
-        self._map_fingerprint = self._fingerprint(
-            self._shard_of_name, self._replicas_of_name
-        )
+        # The persisted placement routed by, before on-disk entries the
+        # map lacks are filled in below: what maybe_reload compares.
+        self._map_assignments = dict(self._shard_of_name)
         self._records: Dict[str, Tuple[int, Dict[str, Any], Optional[BuildPlan]]] = {}
         for shard_index, shard_dir in enumerate(self._shard_dirs):
             for record in iter_manifest_entries(shard_dir):
@@ -689,35 +694,14 @@ class ProcessShardRouter(QueryMethods):
         return shard
 
     def _route_shard(self, request: QueryRequest) -> int:
-        """Replica-aware routing: coalescible reads of a replicated
-        entry fan round-robin across primary + replica shards (hence
-        across worker processes); everything else goes to the primary.
-        Group-by kinds go to the first member's shard — every worker
-        opens all shard directories, so that worker's local router can
-        resolve the whole member set."""
-        spec = KINDS[request.kind]
-        if spec.group:
+        """A request's shard: its entry's placement.  Group-by kinds go
+        to the first member's shard — every worker opens all shard
+        directories, so that worker's local router can resolve the whole
+        member set."""
+        if KINDS[request.kind].group:
             members = self.resolve_members(request.name)
             return self._shard_index(members[0]) if members else 0
-        replicas = self._replicas_of_name.get(request.name)
-        if replicas and spec.coalescible:
-            placements = [self._shard_index(request.name), *replicas]
-            return placements[next(self._rr) % len(placements)]
         return self._shard_index(request.name)
-
-    @staticmethod
-    def _fingerprint(
-        shard_of_name: Dict[str, int], replicas_of_name: Dict[str, List[int]]
-    ) -> Tuple[Any, ...]:
-        return (
-            tuple(sorted(shard_of_name.items())),
-            tuple(
-                sorted(
-                    (name, tuple(replicas))
-                    for name, replicas in replicas_of_name.items()
-                )
-            ),
-        )
 
     # ------------------------------------------------------------------ #
     # Worker lifecycle
@@ -885,8 +869,7 @@ class ProcessShardRouter(QueryMethods):
     def reload(self) -> None:
         """Re-open the store directory from disk, everywhere.
 
-        The parent re-reads the manifests (placement, replica sets,
-        entry metadata) and every worker rebuilds its router, so an
+        The parent re-reads the manifests (placement, entry metadata) and every worker rebuilds its router, so an
         external rebalance — another process migrating entries and
         saving — takes effect without respawning anything.
         """
@@ -898,27 +881,16 @@ class ProcessShardRouter(QueryMethods):
         """Reload iff the persisted shard map changed; returns whether it
         did.  This is the versioned-reload hook a rebalance loop polls:
         cheap when nothing moved (one manifest read, no worker round
-        trips), a full :meth:`reload` when placement or replica sets
-        differ from what the parent routed by."""
+        trips), a full :meth:`reload` when placement differs from what
+        the parent routed by."""
         try:
             if detect_store_format(self.store_dir) != "sharded":
                 return False
             manifest = read_sharded_manifest(self.store_dir)
+            assignments = _assignments(manifest, self.store_dir)
         except (StoreCorruptionError, OSError):
             return False  # mid-publish or gone; keep serving the old map
-        shard_map = manifest["shard_map"]
-        fingerprint = self._fingerprint(
-            {
-                str(name): int(shard)
-                for name, shard in shard_map.get("assignments", {}).items()
-            },
-            {
-                str(name): [int(index) for index in replicas]
-                for name, replicas in shard_map.get("replicas", {}).items()
-                if replicas
-            },
-        )
-        if fingerprint == self._map_fingerprint:
+        if assignments == self._map_assignments:
             return False
         self.reload()
         return True

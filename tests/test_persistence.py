@@ -22,6 +22,7 @@ from repro import (
     BuildResult,
     Histogram,
     QueryEngine,
+    ShardRouter,
     SparseFunction,
     StoreCorruptionError,
     StreamingHistogramLearner,
@@ -34,10 +35,12 @@ from repro import (
 )
 from repro.__main__ import main
 from repro.serve.engine import PrefixTable
+from repro.serve import persistence
 from repro.serve.persistence import (
     NPZ_SCHEMA_VERSION,
     STORE_SCHEMA_VERSION,
     read_manifest,
+    save_sharded,
 )
 
 from helpers import (
@@ -781,6 +784,149 @@ class TestCorruption:
         assert summary_metadata(again) == summary_metadata(store)
         leftovers = [p.name for p in path.parent.iterdir() if "tmp" in p.name]
         assert leftovers == []  # no temp directories left behind
+
+
+class TestDurablePublish:
+    """Saves fsync every file and directory before the swap and the
+    parent directory after it; loads repair an interrupted swap."""
+
+    @staticmethod
+    def record_syscalls(monkeypatch):
+        events = []
+        real_fsync, real_rename = os.fsync, os.rename
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def rename(src, dst):
+            events.append(("rename", Path(src), Path(dst)))
+            real_rename(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "rename", rename)
+        return events
+
+    @pytest.mark.parametrize("layout", ["mmap", "npz"])
+    @pytest.mark.parametrize("sharded", [False, True])
+    @pytest.mark.parametrize("replace", [False, True])
+    def test_everything_synced_around_the_swap(
+        self, populated_store, tmp_path, monkeypatch, layout, sharded, replace
+    ):
+        if sharded:
+            target = ShardRouter(num_shards=2)
+            for name in ("merging", "wavelet", "poly"):
+                target.register(name, small_signal(), family=name, k=4)
+
+            def save(path):
+                save_sharded(target, path, layout=layout)
+        else:
+
+            def save(path):
+                save_store(populated_store, path, layout=layout)
+
+        path = tmp_path / "store"
+        if replace:
+            save(path)
+        events = self.record_syscalls(monkeypatch)
+        save(path)
+
+        swaps = [
+            i
+            for i, event in enumerate(events)
+            if event[0] == "rename" and event[2] == path
+        ]
+        assert len(swaps) == 1
+        swap = swaps[0]
+        synced_before = {e[1] for e in events[:swap] if e[0] == "fsync"}
+        written = [path, *path.rglob("*")]
+        assert len([p for p in written if p.is_file()]) >= 2
+        for item in written:  # path's inode is the published tmp dir's
+            assert item.stat().st_ino in synced_before, item
+        parent = path.parent.stat().st_ino
+        assert ("fsync", parent) in events[swap + 1 :]
+        if replace:
+            # The first rename moves the old store aside; the parent is
+            # synced after it too.
+            aside = next(
+                i for i, e in enumerate(events) if e[0] == "rename" and e[1] == path
+            )
+            assert ("fsync", parent) in events[aside + 1 : swap]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+
+    @staticmethod
+    def interrupted(populated_store, tmp_path, sharded):
+        """A store directory as a kill between the two renames leaves it:
+        no ``store``, the previous store in ``.store.old-<token>``."""
+        previous = tmp_path / "previous"
+        if sharded:
+            router = ShardRouter(num_shards=2)
+            router.register("merging", small_signal(), family="merging", k=4)
+            save_sharded(router, previous)
+        else:
+            save_store(populated_store, previous)
+        path = tmp_path / "store"
+        previous.rename(tmp_path / ".store.old-0a1b2c3d")
+        # The unpublished new store is left alone: only .old-* siblings
+        # are recovered or removed.
+        (tmp_path / ".store.tmp-4e5f6a7b").mkdir()
+        return path
+
+    @pytest.mark.parametrize(
+        "entry_point", ["detect_store_format", "load_store", "load_sharded"]
+    )
+    def test_orphan_renamed_back_when_path_missing(
+        self, populated_store, tmp_path, entry_point
+    ):
+        sharded = entry_point == "load_sharded"
+        path = self.interrupted(populated_store, tmp_path, sharded)
+        result = getattr(persistence, entry_point)(path)
+        assert path.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".store.tmp-4e5f6a7b",
+            "store",
+        ]
+        if entry_point == "load_store":
+            assert summary_metadata(result) == summary_metadata(populated_store)
+        elif sharded:
+            assert result.names() == ["merging"]
+        else:
+            assert result == "store"
+
+    def test_ambiguous_orphans_left_alone(self, populated_store, tmp_path):
+        path = self.interrupted(populated_store, tmp_path, sharded=False)
+        (tmp_path / ".store.old-99999999").mkdir()
+        with pytest.raises(FileNotFoundError):
+            load_store(path)
+        assert not path.exists()
+        assert len(list(tmp_path.glob(".store.old-*"))) == 2
+
+    @pytest.mark.parametrize(
+        "entry_point", ["detect_store_format", "load_store", "load_sharded"]
+    )
+    def test_stale_orphans_removed_when_path_exists(
+        self, populated_store, tmp_path, entry_point
+    ):
+        path = tmp_path / "store"
+        if entry_point == "load_sharded":
+            router = ShardRouter(num_shards=2)
+            router.register("merging", small_signal(), family="merging", k=4)
+            save_sharded(router, path)
+        else:
+            save_store(populated_store, path)
+        for token in ("0a1b2c3d", "deadbeef"):
+            stale = tmp_path / f".store.old-{token}"
+            stale.mkdir()
+            (stale / "manifest.json").write_text("{}")
+        # Not this store's orphans: another name, and a non-token suffix.
+        (tmp_path / ".other.old-0a1b2c3d").mkdir()
+        (tmp_path / ".store.old-keep").mkdir()
+        getattr(persistence, entry_point)(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".other.old-0a1b2c3d",
+            ".store.old-keep",
+            "store",
+        ]
 
 
 # --------------------------------------------------------------------- #

@@ -38,6 +38,7 @@ from repro.serve.persistence import (
     read_sharded_manifest,
 )
 from repro.serve.router import stable_shard
+from repro.serve.workers import ProcessShardRouter
 
 from helpers import assert_same_answers, coalescing_batch, summary_metadata
 from test_persistence import FIXTURES
@@ -754,33 +755,37 @@ class TestGoldenShardedFixture:
 
     def test_answers_match(self, golden):
         router, expected = golden
-        a = np.asarray([r[0] for r in expected["ranges"]])
-        b = np.asarray([r[1] for r in expected["ranges"]])
-        xs = np.asarray(expected["positions"])
-        qs = np.asarray(expected["levels"])
-        for name, answers in expected["answers"].items():
-            got = {
-                "range_sum": router.range_sum(name, a, b),
-                "range_mean": router.range_mean(name, a, b),
-                "point_mass": router.point_mass(name, xs),
-                "cdf": router.cdf(name, xs),
-                "quantile": router.quantile(name, qs),
-            }
-            if "heavy_hitters" in answers:
-                got["heavy_hitters"] = [
-                    list(pair)
-                    for pair in router.heavy_hitters(name, expected["phi"])
-                ]
-            for kind, want in answers.items():
-                if name == "poly" and kind != "quantile":
-                    # Same LAPACK caveat as the unsharded golden test.
-                    np.testing.assert_allclose(
-                        got[kind], np.asarray(want), rtol=0.0, atol=1e-9
-                    )
-                else:
-                    np.testing.assert_array_equal(
-                        got[kind], np.asarray(want), err_msg=f"{name}/{kind}"
-                    )
+        assert_golden_answers(router, expected)
+
+
+def assert_golden_answers(router, expected):
+    """Every answer recorded in ``golden_sharded_expected.json``."""
+    a = np.asarray([r[0] for r in expected["ranges"]])
+    b = np.asarray([r[1] for r in expected["ranges"]])
+    xs = np.asarray(expected["positions"])
+    qs = np.asarray(expected["levels"])
+    for name, answers in expected["answers"].items():
+        got = {
+            "range_sum": router.range_sum(name, a, b),
+            "range_mean": router.range_mean(name, a, b),
+            "point_mass": router.point_mass(name, xs),
+            "cdf": router.cdf(name, xs),
+            "quantile": router.quantile(name, qs),
+        }
+        if "heavy_hitters" in answers:
+            got["heavy_hitters"] = [
+                list(pair) for pair in router.heavy_hitters(name, expected["phi"])
+            ]
+        for kind, want in answers.items():
+            if name == "poly" and kind != "quantile":
+                # Same LAPACK caveat as the unsharded golden test.
+                np.testing.assert_allclose(
+                    got[kind], np.asarray(want), rtol=0.0, atol=1e-9
+                )
+            else:
+                np.testing.assert_array_equal(
+                    got[kind], np.asarray(want), err_msg=f"{name}/{kind}"
+                )
 
 
 # --------------------------------------------------------------------- #
@@ -972,7 +977,7 @@ class TestConcurrentRefreshWhileQuery:
 
 
 # --------------------------------------------------------------------- #
-# Skew-aware placement: sticky reshard, live migration, read replication
+# Skew-aware placement: sticky reshard, live migration
 # --------------------------------------------------------------------- #
 
 
@@ -1007,18 +1012,6 @@ class TestStickyReshard:
             assert after[name] == stable_shard(name, 2)
         migrated = router.registry.get("router_entries_migrated_total")
         assert migrated.value == len(before) - len(survivors)
-
-    def test_replica_sets_survive_reshard(self, pair):
-        _, router = pair
-        name = NAMES[0]
-        others = [i for i in range(4) if i != router.shard_map.shard_of(name)]
-        router.replicate(name, others[:2])
-        wide = router.reshard(6)
-        assert sorted(wide.replicas_of(name)) == sorted(others[:2])
-        # Shrinking drops replicas whose shard disappeared.
-        narrow = router.reshard(2)
-        kept = narrow.replicas_of(name)
-        assert all(i < 2 for i in kept)
 
 
 class TestMigrate:
@@ -1073,153 +1066,52 @@ class TestMigrate:
         counter = router.registry.get("router_entries_migrated_total")
         assert counter.value == len(names)
 
-    def test_migrating_onto_replica_promotes(self, pair):
-        _, router = pair
-        name = NAMES[3]
-        source = router.shard_map.shard_of(name)
-        target = (source + 1) % 4
-        router.replicate(name, target)
-        router.migrate(name, target)
-        assert router.shard_map.shard_of(name) == target
-        assert router.replicas_of(name) == []
-        assert name not in router.shards[source].store
-
 
 class TestReplication:
-    def test_replicated_reads_round_robin_with_parity(self, pair):
-        engine, router = pair
-        name = NAMES[0]
-        others = [i for i in range(4) if i != router.shard_map.shard_of(name)]
-        assert router.replicate(name, others) == others
-        rng = np.random.default_rng(5)
-        a = rng.integers(0, 240, 16)
-        b = rng.integers(0, 240, 16)
-        a, b = np.minimum(a, b), np.maximum(a, b)
-        expected = engine.range_sum(name, a, b)
-        with AsyncServingFrontend(router) as fe:
-            results = fe.serve(
-                [QueryRequest("range_sum", name, (a, b)) for _ in range(8)]
-            )
-        for result in results:
-            assert result.ok, result.error
-            np.testing.assert_array_equal(result.value, expected)
-        # The round-robin cursor visited every placement at least once.
-        reads = router.registry.get("frontend_replica_reads_total")
-        assert reads.value >= len(others)
+    """Read replicas are retired: shard maps written with replica sets
+    still load, their ``replicas`` table is ignored, and saves drop it."""
 
-    def test_replicate_skips_primary_and_duplicates(self, pair):
-        _, router = pair
-        name = NAMES[1]
-        primary = router.shard_map.shard_of(name)
-        other = (primary + 1) % 4
-        assert router.replicate(name, [primary, other, other]) == [other]
-        assert router.replicas_of(name) == [other]
-        assert (
-            router.registry.get("router_entries_replicated_total").value == 1
-        )
+    @staticmethod
+    def legacy_store(tmp_path, replicas):
+        """The golden sharded store with ``replicas`` in its shard map."""
+        path = tmp_path / "legacy"
+        shutil.copytree(FIXTURES / "golden_sharded_store", path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["shard_map"]["replicas"] = replicas
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        return path, manifest
 
-    def test_writes_propagate_to_replicas(self):
-        router = ShardRouter(num_shards=3)
-        rng = np.random.default_rng(6)
-        learner = StreamingHistogramLearner(n=120, k=4, refresh_factor=1.1)
-        learner.extend(rng.integers(0, 120, 400))
-        router.register_stream("live", learner)
-        primary = router.shard_map.shard_of("live")
-        replica = (primary + 1) % 3
-        router.replicate("live", replica)
-        before = router["live"].version
-        router.extend("live", rng.integers(0, 120, 4000))
-        after = router["live"].version
-        assert after > before
-        version, _table = router.shards[replica].engine.table_versioned("live")
-        assert version == after
+    def test_replicas_round_trip_persistence(self, tmp_path):
+        path, manifest = self.legacy_store(tmp_path, {"merging": [1]})
+        with open(
+            FIXTURES / "golden_sharded_expected.json", "r", encoding="utf-8"
+        ) as handle:
+            expected = json.load(handle)
 
-    def test_stale_replica_falls_back_to_primary(self):
-        """A refresh that bypasses the router's propagation (the window
-        between a primary write and its fan-out) must not serve stale:
-        the front end's version check recomputes on the primary."""
-        router = ShardRouter(num_shards=2)
-        rng = np.random.default_rng(7)
-        learner = StreamingHistogramLearner(n=120, k=4, refresh_factor=1.1)
-        learner.extend(rng.integers(0, 120, 400))
-        router.register_stream("live", learner)
-        primary = router.shard_map.shard_of("live")
-        replica = 1 - primary
-        router.replicate("live", replica)
-        # Write primary-only: extend the learner and refresh through the
-        # store, NOT through the router (no propagation).
-        learner.extend(rng.integers(0, 120, 4000))
-        fresh = router.shards[primary].store.refresh("live")
-        stale_version, _ = router.shards[replica].engine.table_versioned("live")
-        assert stale_version < fresh.version
-        with AsyncServingFrontend(router) as fe:
-            results = fe.serve(
-                [QueryRequest("range_sum", "live", (0, 119)) for _ in range(6)]
-            )
-        for result in results:
-            assert result.ok, result.error
-            assert result.version == fresh.version
-        fallbacks = router.registry.get(
-            "frontend_replica_stale_fallbacks_total"
-        )
-        assert fallbacks.value >= 1
+        router = ShardRouter.load(path)
+        assert router.shard_map.assignments() == expected["shard_map"]
+        assert "merging" not in router.shards[1].store
+        assert_golden_answers(router, expected)
+        with ProcessShardRouter(path, workers=2) as prouter:
+            assert_golden_answers(prouter, expected)
 
-    def test_drop_replica(self, pair):
-        _, router = pair
-        name = NAMES[2]
-        other = (router.shard_map.shard_of(name) + 1) % 4
-        router.replicate(name, other)
-        assert router.drop_replica(name, other) is True
-        assert router.drop_replica(name, other) is False
-        assert router.replicas_of(name) == []
-        assert name not in router.shards[other].store
-        assert (
-            router.registry.get("router_replicas_dropped_total").value == 1
-        )
+        router.save(tmp_path / "resaved")
+        resaved = read_sharded_manifest(tmp_path / "resaved")
+        assert "replicas" not in resaved["shard_map"]
+        assert resaved["shard_map"]["map_version"] == manifest["shard_map"][
+            "map_version"
+        ]
 
-    def test_remove_cleans_replicas(self, pair):
-        _, router = pair
-        name = NAMES[4]
-        other = (router.shard_map.shard_of(name) + 1) % 4
-        router.replicate(name, other)
-        router.remove(name)
-        assert router.replicas_of(name) == []
-        assert name not in router.shards[other].store
-
-    def test_replicas_round_trip_persistence(self, pair, tmp_path):
-        engine, router = pair
-        name = NAMES[0]
-        others = [i for i in range(4) if i != router.shard_map.shard_of(name)]
-        router.replicate(name, others[:2])
-        save_sharded(router, tmp_path / "replicated")
-        manifest = read_sharded_manifest(tmp_path / "replicated")
-        # Replica sets persist at the pre-cohort schema (no cohorts here).
-        assert manifest["schema"] == SHARDED_SCHEMA_VERSION - 1
-        assert sorted(manifest["shard_map"]["replicas"][name]) == sorted(
-            others[:2]
-        )
-        # Replica copies stay out of the shard directories; the primary
-        # is the one persisted copy.
-        for index in others[:2]:
-            shard_manifest = read_manifest_names(
-                tmp_path / "replicated" / f"shard-{index:04d}"
-            )
-            assert name not in shard_manifest
-        loaded = load_sharded(tmp_path / "replicated")
-        assert sorted(loaded.replicas_of(name)) == sorted(others[:2])
-        for index in others[:2]:
-            assert name in loaded.shards[index].store
-        rng = np.random.default_rng(9)
-        a = rng.integers(0, 240, 32)
-        b = rng.integers(0, 240, 32)
-        a, b = np.minimum(a, b), np.maximum(a, b)
-        np.testing.assert_array_equal(
-            loaded.range_sum(name, a, b), engine.range_sum(name, a, b)
-        )
+    def test_non_mapping_replicas_rejected(self, tmp_path):
+        path, _ = self.legacy_store(tmp_path, ["merging"])
+        with pytest.raises(StoreCorruptionError, match="shard map"):
+            ShardRouter.load(path)
+        with pytest.raises(StoreCorruptionError, match="shard map"):
+            ProcessShardRouter(path, workers=1)
 
     def test_schema1_map_still_loads(self):
-        """Back-compat: a schema-1 shard-map payload (no replicas, no
-        map_version) must load with empty replica sets."""
+        """Back-compat: a schema-1 shard-map payload (no map_version)
+        must load at version 0."""
         payload = {
             "kind": "shard_map",
             "schema": 1,
@@ -1228,15 +1120,7 @@ class TestReplication:
         }
         shard_map = ShardMap.from_dict(payload)
         assert shard_map.shard_of("a") == 1
-        assert shard_map.replica_sets() == {}
         assert shard_map.version == 0
-
-
-def read_manifest_names(shard_dir):
-    """Entry names recorded in one shard directory's manifest(s)."""
-    from repro.serve.persistence import iter_manifest_entries
-
-    return [str(rec["name"]) for rec in iter_manifest_entries(shard_dir)]
 
 
 @pytest.mark.slow
