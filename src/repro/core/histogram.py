@@ -26,7 +26,7 @@ __all__ = ["Histogram", "flatten"]
 class Histogram:
     """A piecewise-constant function defined by a partition and values."""
 
-    __slots__ = ("partition", "values", "_prefix_cache")
+    __slots__ = ("partition", "values", "_prefix_cache", "_query_table")
 
     def __init__(self, partition: Partition, values: Union[np.ndarray, List[float]]) -> None:
         vals = np.asarray(values, dtype=np.float64)
@@ -38,6 +38,9 @@ class Histogram:
         self.partition = partition
         self.values = vals
         self._prefix_cache = None
+        # The serving engine's query table over this object, built on the
+        # first query and freed with it (see repro.serve.engine).
+        self._query_table = None
 
     # ------------------------------------------------------------------ #
     # Constructors

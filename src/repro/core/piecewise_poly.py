@@ -26,7 +26,7 @@ __all__ = ["PiecewisePolynomial"]
 class PiecewisePolynomial:
     """A function on ``{0, ..., n-1}`` that is a polynomial on each piece."""
 
-    __slots__ = ("n", "fits", "_prefix_cache")
+    __slots__ = ("n", "fits", "_prefix_cache", "_query_table")
 
     def __init__(self, n: int, fits: List[PolynomialFit]) -> None:
         if not fits:
@@ -44,6 +44,9 @@ class PiecewisePolynomial:
         self.n = int(n)
         self.fits = list(fits)
         self._prefix_cache = None
+        # The serving engine's query table over this object, built on the
+        # first query and freed with it (see repro.serve.engine).
+        self._query_table = None
 
     # ------------------------------------------------------------------ #
 

@@ -39,7 +39,7 @@ class SparseFunction:
     indices throughout.
     """
 
-    __slots__ = ("n", "indices", "values", "_prefix_cache")
+    __slots__ = ("n", "indices", "values", "_prefix_cache", "_query_table")
 
     def __init__(
         self,
@@ -71,6 +71,9 @@ class SparseFunction:
         self.indices = idx
         self.values = val
         self._prefix_cache = None
+        # The serving engine's query table over this object, built on the
+        # first query and freed with it (see repro.serve.engine).
+        self._query_table = None
 
     # ------------------------------------------------------------------ #
     # Constructors

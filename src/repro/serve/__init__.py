@@ -29,8 +29,8 @@ into a queryable system:
 * :mod:`repro.serve.engine` — :class:`QueryEngine`, batched vectorized
   ``range_sum`` / ``range_mean`` / ``point_mass`` / ``cdf`` /
   ``quantile`` / ``top_k_buckets`` evaluation over the store, backed by
-  an LRU cache of :class:`PrefixTable` prefix-integral tables (per-entry
-  hit/miss accounting, thread-safe).
+  :class:`PrefixTable` prefix-integral tables held on each hydrated
+  synopsis (per-entry hit/miss accounting, thread-safe).
 * :mod:`repro.serve.router` — :class:`ShardRouter`, name-sharded serving
   over N concurrent store/engine pairs with an explicit, persisted
   :class:`ShardMap` (resharding is a deliberate migration).

@@ -107,7 +107,6 @@ from .engine import QueryEngine
 from .kinds import KINDS
 from .persistence import (
     DEFAULT_SEGMENT_SIZE,
-    MMAP_SCHEMA_VERSION,
     StoreCorruptionError,
     detect_store_format,
     iter_manifest_entries,
@@ -286,30 +285,14 @@ def _load_router_or_exit(
     store_dir: str,
     lazy: bool = True,
     expect_shards: Optional[int] = None,
-    cache_size: Optional[int] = None,
-    layout: Optional[str] = None,
 ) -> ShardRouter:
-    """Load a plain or sharded store directory as a router, transparently.
-
-    Pass ``layout`` when the caller already detected the store format, so
-    one command reads the directory under a single consistent detection
-    (a concurrent save swapping the directory between two detects would
-    otherwise fail with a confusing layout mismatch).
-    """
-    if layout is None:
-        layout = _detect_format_or_exit(store_dir)
+    """Load a plain or sharded store directory as a router, transparently."""
     try:
-        if layout == "sharded":
-            router = ShardRouter.load(
-                store_dir,
-                lazy=lazy,
-                **({} if cache_size is None else {"cache_size": cache_size}),
-            )
+        if _detect_format_or_exit(store_dir) == "sharded":
+            router = ShardRouter.load(store_dir, lazy=lazy)
         else:
-            store = SynopsisStore.load(store_dir, lazy=lazy)
             router = ShardRouter.from_stores(
-                [store],
-                **({} if cache_size is None else {"cache_size": cache_size}),
+                [SynopsisStore.load(store_dir, lazy=lazy)]
             )
     except (FileNotFoundError, StoreCorruptionError) as exc:
         raise SystemExit(f"error: {exc}")
@@ -373,17 +356,11 @@ def _workers_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_process_router_or_exit(
-    store_dir: str, workers: int, cache_size: Optional[int] = None
-) -> ProcessShardRouter:
+def _load_process_router_or_exit(store_dir: str, workers: int) -> ProcessShardRouter:
     if workers < 1:
         raise SystemExit(f"--workers must be positive, got {workers}")
     try:
-        return ProcessShardRouter(
-            store_dir,
-            workers=workers,
-            **({} if cache_size is None else {"cache_size": cache_size}),
-        )
+        return ProcessShardRouter(store_dir, workers=workers)
     except (FileNotFoundError, StoreCorruptionError) as exc:
         raise SystemExit(f"error: {exc}")
 
@@ -528,7 +505,7 @@ def query_main(argv: Optional[Sequence[str]] = None) -> int:
         run = lambda: engine.query(args.kind, args.dataset, *query_args)[0]
 
     try:
-        run()  # warm the prefix-table cache
+        run()  # build the prefix tables
         with timer() as timed:
             answers = run()
         elapsed = timed.seconds
@@ -585,7 +562,7 @@ def _cohort_query(args: argparse.Namespace, values: np.ndarray) -> int:
     a, b = np.minimum(a, b), np.maximum(a, b)
     group_kind = f"group_{args.kind}"
     try:
-        engine.query(group_kind, names, a, b)  # warm the prefix-table cache
+        engine.query(group_kind, names, a, b)  # build the prefix tables
         with timer() as timed:
             answers, _versions = engine.query(group_kind, names, a, b)
         elapsed = timed.seconds
@@ -729,18 +706,9 @@ def _parse_args(kind: str, words: Sequence[str]) -> list:
 
 
 def _print_cache_info(out, info: dict) -> None:
-    print(
-        f"cache: hits={info['hits']} misses={info['misses']} "
-        f"evictions={info['evictions']} size={info['size']} "
-        f"capacity={info['capacity']}",
-        file=out,
-    )
+    print(f"cache: hits={info['hits']} misses={info['misses']}", file=out)
     for name, stats in info.get("entries", {}).items():
-        print(
-            f"  {name}: hits={stats['hits']} misses={stats['misses']} "
-            f"evictions={stats['evictions']}",
-            file=out,
-        )
+        print(f"  {name}: hits={stats['hits']} misses={stats['misses']}", file=out)
 
 
 def serve_main(
@@ -926,8 +894,7 @@ def serve_main(
                 if not processes:
                     stats = router.entry_cache_info(words[1])
                     print(
-                        f"  cache: hits={stats['hits']} misses={stats['misses']} "
-                        f"evictions={stats['evictions']}",
+                        f"  cache: hits={stats['hits']} misses={stats['misses']}",
                         file=out,
                     )
             elif cmd == "shards":
@@ -1153,23 +1120,8 @@ def load_main(argv: Optional[Sequence[str]] = None) -> int:
     _shards_argument(parser)
     args = parser.parse_args(argv)
 
-    # Size each shard's cache to the store so the validation pass keeps
-    # every table warm, however many entries one shard holds.
-    layout = _detect_format_or_exit(args.store_dir)
-    try:
-        if layout == "sharded":
-            parent = read_sharded_manifest(args.store_dir)
-            entry_count = len(parent["shard_map"].get("assignments", {}))
-        else:
-            entry_count = _manifest_entry_count(read_manifest(args.store_dir))
-    except (FileNotFoundError, StoreCorruptionError) as exc:
-        raise SystemExit(f"error: {exc}")
     router = _load_router_or_exit(
-        args.store_dir,
-        lazy=False,
-        expect_shards=args.shards,
-        cache_size=max(entry_count, 1),
-        layout=layout,
+        args.store_dir, lazy=False, expect_shards=args.shards
     )
     try:
         tables = router.warm()

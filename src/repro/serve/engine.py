@@ -10,23 +10,27 @@ boundaries plus ``O(d)`` vector arithmetic: ``O(B log k)`` total, instead
 of B Python-level synopsis evaluations.
 
 :class:`QueryEngine` answers batched queries against a
-:class:`~repro.serve.store.SynopsisStore`, holding the tables in an LRU
-cache keyed by ``(entry name, entry version)`` so a streaming refresh
-invalidates exactly the entry that changed.
+:class:`~repro.serve.store.SynopsisStore`.  A synopsis is immutable, so
+its table is a pure function of it: the engine builds the table on the
+first query and holds it on the synopsis object itself.  The table
+therefore lives exactly as long as the hydrated synopsis — a streaming
+refresh or re-registration installs a new synopsis (and so a new table)
+for exactly the entry that changed, and cooling an entry under the
+store's residency budget frees its table together with its payload.
+There is no second cache to size.
 
-The engine is thread-safe: cache bookkeeping runs under an internal lock
-and every table lookup goes through the store's atomic
-``snapshot(name)``, so concurrent queries against a shard being refreshed
-always observe a consistent ``(version, table)`` pair.  The numeric
-evaluation itself runs outside the lock — NumPy releases the GIL in the
-hot kernels, which is what lets per-shard thread pools scale.
+The engine is thread-safe: every table lookup goes through the store's
+atomic ``snapshot(name)``, and the table comes from the very synopsis
+object that snapshot returned, so concurrent queries against a shard
+being refreshed always observe a consistent ``(version, table)`` pair.
+The numeric evaluation takes no lock — NumPy releases the GIL in the hot
+kernels, which is what lets per-shard thread pools scale.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -285,12 +289,13 @@ class PrefixTable:
 
 
 class CacheStats:
-    """Counters for the engine's prefix-table cache.
+    """Hit/miss counters for the engine's prefix-table fetches.
 
-    The engine keeps one engine-global instance plus one per entry name,
-    so cache behavior is reportable per entry (a hot entry hitting 99%
-    and a thrashing one evicting every query look identical in the
-    global numbers).
+    Every table fetch counts once: a hit when the snapshot's synopsis
+    already holds its table, a miss when the fetch built one.  The engine
+    keeps one engine-global instance plus one per entry name, so table
+    reuse is reportable per entry (a hot entry hitting 99% and one
+    rebuilt on every query look identical in the global numbers).
 
     The counts live in :class:`~repro.obs.metrics.Counter` instruments —
     normally registered in the engine's
@@ -299,28 +304,19 @@ class CacheStats:
     standalone ``CacheStats()`` owns private counters.
     """
 
-    __slots__ = ("_hits", "_misses", "_evictions")
+    __slots__ = ("_hits", "_misses")
 
     def __init__(
         self,
         hits: int = 0,
         misses: int = 0,
-        evictions: int = 0,
-        counters: Optional[Tuple[Any, Any, Any]] = None,
+        counters: Optional[Tuple[Any, Any]] = None,
     ) -> None:
         if counters is not None:
-            self._hits, self._misses, self._evictions = counters
+            self._hits, self._misses = counters
         else:
-            self._hits, self._misses, self._evictions = (
-                Counter(),
-                Counter(),
-                Counter(),
-            )
-        for counter, initial in (
-            (self._hits, hits),
-            (self._misses, misses),
-            (self._evictions, evictions),
-        ):
+            self._hits, self._misses = Counter(), Counter()
+        for counter, initial in ((self._hits, hits), (self._misses, misses)):
             if initial:
                 counter.inc(initial)
 
@@ -330,9 +326,6 @@ class CacheStats:
     def miss(self) -> None:
         self._misses.inc()
 
-    def evicted(self) -> None:
-        self._evictions.inc()
-
     @property
     def hits(self) -> int:
         return self._hits.value
@@ -341,31 +334,21 @@ class CacheStats:
     def misses(self) -> int:
         return self._misses.value
 
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
     def __repr__(self) -> str:
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions})"
-        )
+        return f"CacheStats(hits={self.hits}, misses={self.misses})"
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
+        return {"hits": self.hits, "misses": self.misses}
 
 
 class QueryEngine(QueryMethods):
     """Batched queries over a :class:`SynopsisStore`.
 
     All query methods are array-in/array-out NumPy operations; scalar
-    arguments return scalars.  Prefix tables are built lazily per store
-    entry and held in an LRU cache keyed by ``(name, version)``, so
-    refreshing a streaming-backed entry invalidates only that entry.
+    arguments return scalars.  Each synopsis's prefix table is built on
+    its first query and held on the synopsis object, so it lives as long
+    as that hydrated synopsis: a refresh replaces only its own entry's
+    table, and memory is bounded by the store's residency budget alone.
     """
 
     #: Every query kind the engine answers; each gets a latency histogram
@@ -376,15 +359,10 @@ class QueryEngine(QueryMethods):
     def __init__(
         self,
         store: SynopsisStore,
-        cache_size: int = 32,
         registry: Optional[MetricsRegistry] = None,
         labels: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self.store = store
-        self.cache_size = int(cache_size)
-        self._tables: "OrderedDict[Tuple[str, int], PrefixTable]" = OrderedDict()
         # Per-engine registry by default, so two engines never share
         # counters by accident; a ShardRouter injects one shared registry
         # with per-shard labels instead, making the fleet view mergeable.
@@ -394,17 +372,12 @@ class QueryEngine(QueryMethods):
             counters=(
                 self.registry.counter(
                     "engine_cache_hits_total",
-                    "prefix-table cache hits",
+                    "prefix-table fetches that reused the synopsis's table",
                     **self._labels,
                 ),
                 self.registry.counter(
                     "engine_cache_misses_total",
-                    "prefix-table cache misses (table builds)",
-                    **self._labels,
-                ),
-                self.registry.counter(
-                    "engine_cache_evictions_total",
-                    "prefix-table cache evictions",
+                    "prefix-table fetches that built the table",
                     **self._labels,
                 ),
             )
@@ -429,11 +402,9 @@ class QueryEngine(QueryMethods):
             )
             for kind in self.QUERY_KINDS
         }
-        # Guards the LRU dict and both stats maps; snapshot hydration,
-        # table construction, and table *evaluation* all happen outside
-        # it, so concurrent queries only serialize on cache bookkeeping,
-        # never on I/O or NumPy work.
-        self._lock = threading.RLock()
+        # Guards the per-entry stats map; snapshot hydration, table
+        # construction, and table *evaluation* all happen outside it.
+        self._lock = threading.Lock()
         # Dropping a store entry must drop its per-entry stats too, or a
         # long-lived server churning entries leaks one CacheStats (and
         # one registry series) per removed name.
@@ -451,11 +422,6 @@ class QueryEngine(QueryMethods):
                     ),
                     self.registry.counter(
                         "engine_entry_cache_misses_total", entry=name, **self._labels
-                    ),
-                    self.registry.counter(
-                        "engine_entry_cache_evictions_total",
-                        entry=name,
-                        **self._labels,
                     ),
                 )
             )
@@ -476,93 +442,66 @@ class QueryEngine(QueryMethods):
     def forget(self, name: str) -> None:
         """Drop all per-entry state for a removed store entry.
 
-        Called by the store when ``remove(name)`` runs: cached prefix
-        tables for the name are discarded (not counted as evictions — the
-        entry is gone, not displaced), its per-entry ``CacheStats`` is
-        dropped, and its registry series are unregistered so exposition
-        does not accumulate series for dead entries.
+        Called by the store when ``remove(name)`` runs: the entry's
+        per-entry ``CacheStats`` is dropped and its registry series are
+        unregistered, so exposition does not accumulate series for dead
+        entries.  (Its table went with the store's synopsis reference.)
         """
         with self._lock:
-            for key in [k for k in self._tables if k[0] == name]:
-                del self._tables[key]
             self._entry_stats.pop(name, None)
         self.registry.drop(entry=name, **self._labels)
 
     def table(self, name: str) -> PrefixTable:
-        """The (cached) prefix table for store entry ``name``."""
+        """The prefix table for store entry ``name``."""
         return self.table_versioned(name)[1]
 
     def table_versioned(self, name: str) -> Tuple[int, PrefixTable]:
         """The entry's current ``(version, table)`` pair, atomically.
 
-        The pair comes from one atomic ``store.snapshot`` read, so the
-        returned table is guaranteed to have been built from the synopsis
-        that carried exactly that version — the consistency unit the
+        The pair comes from one atomic ``store.snapshot`` read, and the
+        table is the one held by the very synopsis object that snapshot
+        returned — built from it on its first fetch — so the table always
+        matches the version reported with it: the consistency unit the
         concurrent serving front end reports per answer.
 
-        The engine lock covers only cache bookkeeping; payload hydration
-        (inside ``snapshot``) and table construction run outside it, so a
-        miss on one entry never blocks a concurrent hit on another.  Two
-        threads missing on the same key may both build the table; the
-        second insert defers to the first, and both builds are counted as
-        the misses they genuinely were.
+        Each fetch counts one hit or one miss, a miss meaning that this
+        fetch built the synopsis's table.  Two threads missing on the same
+        synopsis may both build it; both builds are counted as the misses
+        they genuinely were, and either (equal) table serves.
         """
         version, synopsis = self.store.snapshot(name)
-        key = (name, version)
         with self._lock:
             entry_stats = self._stats_for(name)
-            cached = self._tables.get(key)
-            if cached is not None:
-                self._tables.move_to_end(key)
-                self.stats.hit()
-                entry_stats.hit()
-                return version, cached
+        table = getattr(synopsis, "_query_table", None)
+        if table is None:
+            table = PrefixTable.from_synopsis(synopsis)
+            # object.__setattr__: the wavelet synopsis is a frozen dataclass.
+            object.__setattr__(synopsis, "_query_table", table)
             self.stats.miss()
             entry_stats.miss()
-        table = PrefixTable.from_synopsis(synopsis)
-        with self._lock:
-            existing = self._tables.get(key)
-            if existing is not None:
-                return version, existing  # a racing build won; use its table
-            if any(k[0] == name and k[1] > version for k in self._tables):
-                # A refresh landed while we built: a fresher version is
-                # already cached, and no future snapshot will ask for ours
-                # again — answer from our consistent build but leave the
-                # cache to the newer table instead of clobbering it.
-                return version, table
-            # Drop tables for stale versions of the same entry immediately.
-            for old in [k for k in self._tables if k[0] == name]:
-                del self._tables[old]
-                self.stats.evicted()
-                entry_stats.evicted()
-            self._tables[key] = table
-            while len(self._tables) > self.cache_size:
-                evicted, _ = self._tables.popitem(last=False)
-                self.stats.evicted()
-                self._stats_for(evicted[0]).evicted()
-            return version, table
+        else:
+            self.stats.hit()
+            entry_stats.hit()
+        return version, table
 
     def warm(self, names: Optional[List[str]] = None) -> int:
         """Prefetch prefix tables for ``names`` (default: every entry).
 
         Hydrates lazily-loaded entries as a side effect, so a store loaded
         from disk can pay its deserialization cost up front instead of on
-        the first query.  Returns the number of tables now resident (at
-        most ``cache_size``).
+        the first query.  Returns the number of tables fetched.
         """
-        for name in self.store.names() if names is None else names:
+        names = self.store.names() if names is None else names
+        for name in names:
             self.table(name)
-        return len(self._tables)
+        return len(names)
 
     def cache_info(self) -> dict:
-        """Engine-global cache counters plus the per-entry breakdown."""
+        """Engine-global hit/miss counters plus the per-entry breakdown."""
         with self._lock:
             return {
                 "hits": self.stats.hits,
                 "misses": self.stats.misses,
-                "evictions": self.stats.evictions,
-                "size": len(self._tables),
-                "capacity": self.cache_size,
                 "entries": {
                     name: stats.as_dict()
                     for name, stats in self._entry_stats.items()
@@ -570,7 +509,7 @@ class QueryEngine(QueryMethods):
             }
 
     def entry_cache_info(self, name: str) -> Dict[str, int]:
-        """Hit/miss/eviction counters for one entry (zeros if never queried)."""
+        """Hit/miss counters for one entry (zeros if never queried)."""
         with self._lock:
             stats = self._entry_stats.get(name)
             return stats.as_dict() if stats is not None else CacheStats().as_dict()

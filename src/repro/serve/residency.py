@@ -7,6 +7,10 @@ its mmap segment (PR 7 measured sub-millisecond cold hydration).  The
 stay hydrated, cold ones are *cooled* back to their lazy hydrator
 (:meth:`~repro.serve.store.StoreEntry.cool`) whenever the watched
 stores' combined resident payload bytes exceed ``max_resident_bytes``.
+This budget is the only residency tier: a query engine holds each prefix
+table on its hydrated synopsis, so cooling an entry frees its table
+together with its payload, and no table outlives the budget's decision.
+(Table bytes are not counted in ``resident_bytes``; only payload is.)
 
 Victim selection consults the same notion of "hot" the PR 8 rebalancer
 uses: when a :class:`~repro.serve.loadstats.HotnessTracker` is attached,
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["ResidencyManager"]
 

@@ -228,7 +228,6 @@ class ShardRouter(QueryMethods):
     def __init__(
         self,
         num_shards: int = 1,
-        cache_size: int = 32,
         shard_map: Optional[ShardMap] = None,
         stores: Optional[Sequence[SynopsisStore]] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -245,7 +244,6 @@ class ShardRouter(QueryMethods):
                 f"{len(stores)} stores provided for {num_shards} shards"
             )
         self.shard_map = shard_map
-        self.cache_size = int(cache_size)
         # One registry for the whole router: each shard's store and
         # engine report into it under a ``shard=<index>`` label, so the
         # fleet view is one mergeable document instead of N disjoint
@@ -276,12 +274,7 @@ class ShardRouter(QueryMethods):
         return Shard(
             index=index,
             store=store,
-            engine=QueryEngine(
-                store,
-                cache_size=self.cache_size,
-                registry=self.registry,
-                labels=labels,
-            ),
+            engine=QueryEngine(store, registry=self.registry, labels=labels),
         )
 
     @classmethod
@@ -289,7 +282,6 @@ class ShardRouter(QueryMethods):
         cls,
         stores: Sequence[SynopsisStore],
         shard_map: Optional[ShardMap] = None,
-        cache_size: int = 32,
     ) -> "ShardRouter":
         """Adopt existing stores as shards (the persistence load path).
 
@@ -299,12 +291,7 @@ class ShardRouter(QueryMethods):
         """
         if not stores:
             raise ValueError("at least one store is required")
-        router = cls(
-            len(stores),
-            cache_size=cache_size,
-            shard_map=shard_map,
-            stores=list(stores),
-        )
+        router = cls(len(stores), shard_map=shard_map, stores=list(stores))
         for index, store in enumerate(stores):
             for name in store.names():
                 if shard_map is None:
@@ -594,15 +581,15 @@ class ShardRouter(QueryMethods):
             return resolve_members(spec, self._cohorts)
 
     def warm(self, names: Optional[Sequence[str]] = None) -> int:
-        """Prefetch prefix tables shard by shard; returns tables resident
-        across the whole router (including shards this call didn't touch)."""
+        """Prefetch prefix tables shard by shard; returns the number of
+        tables fetched."""
         groups = self.group_by_shard(self.names() if names is None else list(names))
-        for index, group in groups.items():
-            self.shards[index].engine.warm(group)
-        return sum(shard.engine.cache_info()["size"] for shard in self.shards)
+        return sum(
+            self.shards[index].engine.warm(group) for index, group in groups.items()
+        )
 
     def cache_info(self) -> Dict[str, Any]:
-        """Aggregated cache counters plus the per-shard breakdown."""
+        """Aggregated hit/miss counters plus the per-shard breakdown."""
         per_shard = [shard.engine.cache_info() for shard in self.shards]
         entries: Dict[str, Dict[str, int]] = {}
         for info in per_shard:
@@ -610,9 +597,6 @@ class ShardRouter(QueryMethods):
         return {
             "hits": sum(info["hits"] for info in per_shard),
             "misses": sum(info["misses"] for info in per_shard),
-            "evictions": sum(info["evictions"] for info in per_shard),
-            "size": sum(info["size"] for info in per_shard),
-            "capacity": sum(info["capacity"] for info in per_shard),
             "shards": per_shard,
             "entries": entries,
         }
@@ -632,11 +616,10 @@ class ShardRouter(QueryMethods):
 
         A single-entry kind runs on its entry's shard engine.  Pair and
         group kinds take each table from its own shard engine (one atomic
-        snapshot per name, warm in that shard's cache) and reduce on the
-        caller's thread — the same consistency unit as independent reads,
-        with no cross-shard locking — and their latency is recorded on
-        the first name's shard, so the per-kind series exist exactly once
-        per query.
+        snapshot per name) and reduce on the caller's thread — the same
+        consistency unit as independent reads, with no cross-shard
+        locking — and their latency is recorded on the first name's
+        shard, so the per-kind series exist exactly once per query.
         """
         spec = query_kind(kind)
         if not (spec.group or spec.source == "pair"):
@@ -695,23 +678,19 @@ class ShardRouter(QueryMethods):
     # Resharding: a deliberate migration
     # ------------------------------------------------------------------ #
 
-    def reshard(self, num_shards: int, cache_size: Optional[int] = None) -> "ShardRouter":
+    def reshard(self, num_shards: int) -> "ShardRouter":
         """Rebuild this router over ``num_shards`` shards.
 
-        Entries are *moved*, not rebuilt: each keeps its synopsis,
-        learner, version, and version floor, so engine caches of the new
-        router behave exactly as if the entries had always lived there.
+        Entries are *moved*, not rebuilt: each keeps its synopsis (and so
+        its prefix table), learner, version, and version floor, so the new
+        router serves them exactly as if they had always lived there.
         Sticky assignments that still name a live shard are preserved —
         growing the shard count moves nothing, shrinking it moves only
         the entries whose shard disappeared (re-derived from the new
         count's stable hash) — so a reshard never scrambles placements
         the rebalancer (or an operator) chose deliberately.
         """
-        new = ShardRouter(
-            num_shards,
-            cache_size=self.cache_size if cache_size is None else cache_size,
-            registry=self.registry,
-        )
+        new = ShardRouter(num_shards, registry=self.registry)
         self._c_reshards.inc()
         for name in self.names():
             source = self.shard_of(name)
@@ -760,7 +739,7 @@ class ShardRouter(QueryMethods):
         save_sharded(self, path, **kwargs)
 
     @classmethod
-    def load(cls, path, lazy: bool = True, cache_size: int = 32) -> "ShardRouter":
+    def load(cls, path, lazy: bool = True) -> "ShardRouter":
         """Load a directory persisted by :meth:`save` / ``save_sharded``.
 
         Each shard store hydrates lazily (``lazy=True``), so a shard pays
@@ -768,4 +747,4 @@ class ShardRouter(QueryMethods):
         """
         from .persistence import load_sharded
 
-        return load_sharded(path, lazy=lazy, cache_size=cache_size, router_cls=cls)
+        return load_sharded(path, lazy=lazy, router_cls=cls)

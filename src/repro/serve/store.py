@@ -501,7 +501,7 @@ class SynopsisStore:
             self._g_resident.set(self._resident_bytes)
 
     def _note_hydrated(self, entry: StoreEntry) -> None:
-        """Post-hydration bookkeeping (called by the _adopt timing wrapper).
+        """Post-hydration bookkeeping (called by :class:`_StoreHydrator`).
 
         Runs *inside* hydrate()'s critical section, before the hydrator
         slot is cleared, so it reads the payload directly rather than the
@@ -800,30 +800,19 @@ class SynopsisStore:
         return load_store(path, lazy=lazy, store_cls=cls)
 
     def _adopt(self, entry: StoreEntry, last_version: Optional[int] = None) -> None:
-        """Install a fully-formed entry (the persistence load path).
+        """Install a fully-formed entry (the load, migrate and reshard path).
 
         Keeps the never-repeat version invariant: the recorded last version
-        for the name is at least the entry's own version.
+        for the name is at least the entry's own version.  The entry's
+        lazy-payload hydrators are (re-)bound to this store, and a hydrated
+        evictable entry is noted with this store's residency manager, so an
+        entry adopted from another store is accounted and cooled here.
         """
-        if entry.hydrator is not None:
-            # Time first-query hydration.  The wrapper reads the store's
-            # current histogram at call time (not capture time), so a
-            # later bind_registry() — the router re-homing this store
-            # under a shard label — is still observed.  It also does the
-            # post-hydration residency bookkeeping (resident-bytes
-            # accounting, ResidencyManager LRU touch), and because the
-            # wrapper is what hydrate() stashes as the rehydrator, a
-            # cooled entry re-accounts on every rehydration too.
-            inner = entry.hydrator
-
-            def timed_hydrator(
-                target: StoreEntry, _inner=inner, _store=self
-            ) -> None:
-                with timer(_store._h_hydrate):
-                    _inner(target)
-                _store._note_hydrated(target)
-
-            entry.hydrator = timed_hydrator
+        with entry._hydrate_lock:
+            if entry.hydrator is not None:
+                entry.hydrator = _StoreHydrator(entry.hydrator, self)
+            if entry.rehydrator is not None:
+                entry.rehydrator = _StoreHydrator(entry.rehydrator, self)
         with self._lock:
             previous = self._entries.get(entry.name)
             self._entries[entry.name] = entry
@@ -833,3 +822,33 @@ class SynopsisStore:
                 entry.resident_bytes
                 - (previous.resident_bytes if previous is not None else 0)
             )
+        residency = self._residency
+        if residency is not None and entry.evictable:
+            residency.note(self, entry.name)
+
+
+class _StoreHydrator:
+    """A lazy-payload hydrator bound to the store that accounts for it.
+
+    Times each hydration into the store's *current* histogram (read at
+    call time, so a later ``bind_registry()`` — the router re-homing the
+    store under a shard label — is still observed), then does the
+    post-hydration residency bookkeeping (resident-bytes accounting,
+    ResidencyManager LRU touch).  ``hydrate()`` stashes it as the
+    rehydrator, so a cooled entry re-accounts on every rehydration too;
+    binding an already-bound hydrator to another store re-binds its
+    payload reader rather than nesting the accounting.
+    """
+
+    __slots__ = ("inner", "store")
+
+    def __init__(
+        self, inner: Callable[[StoreEntry], None], store: SynopsisStore
+    ) -> None:
+        self.inner = inner.inner if isinstance(inner, _StoreHydrator) else inner
+        self.store = store
+
+    def __call__(self, entry: StoreEntry) -> None:
+        with timer(self.store._h_hydrate):
+            self.inner(entry)
+        self.store._note_hydrated(entry)

@@ -356,7 +356,6 @@ def parse_query(
 def _worker_main(
     conn: multiprocessing.connection.Connection,
     store_dir: str,
-    cache_size: int,
     coalesce: bool,
 ) -> None:
     """Entry point of one worker process.
@@ -378,10 +377,10 @@ def _worker_main(
     def build():
         path = Path(store_dir)
         if detect_store_format(path) == "sharded":
-            router = ShardRouter.load(path, cache_size=cache_size)
+            router = ShardRouter.load(path)
         else:
             store = load_store(path, lazy=True)
-            router = ShardRouter.from_stores([store], cache_size=cache_size)
+            router = ShardRouter.from_stores([store])
         frontend = AsyncServingFrontend(router, coalesce=coalesce)
         return router, frontend
 
@@ -452,7 +451,7 @@ def _worker_main(
                     ],
                 }
             elif cmd == "warm":
-                reply = {"ok": True, "resident": router.warm()}
+                reply = {"ok": True, "warmed": router.warm()}
             elif cmd == "reload":
                 frontend.close()
                 router, frontend = build()
@@ -525,8 +524,8 @@ class ProcessShardRouter(QueryMethods):
     workers:
         Worker process count; defaults to (and is clamped to) the shard
         count, each worker owning a contiguous slice of the shards.
-    cache_size / coalesce:
-        Forwarded to each worker's engines / front end.
+    coalesce:
+        Forwarded to each worker's front end.
     max_restarts:
         Per-worker crash budget: a worker that dies is respawned from
         the (immutable) store directory and its in-flight sub-batch
@@ -538,12 +537,10 @@ class ProcessShardRouter(QueryMethods):
         self,
         store_dir: Union[str, Path],
         workers: Optional[int] = None,
-        cache_size: int = 32,
         coalesce: bool = True,
         max_restarts: int = 3,
     ) -> None:
         self.store_dir = Path(store_dir)
-        self.cache_size = int(cache_size)
         self.coalesce = bool(coalesce)
         self.max_restarts = int(max_restarts)
         self.registry = MetricsRegistry()
@@ -714,14 +711,13 @@ class ProcessShardRouter(QueryMethods):
         # mapped pages are shared across processes), and it lets a worker
         # resolve cross-shard partners (inner_product) locally.  The
         # parent's routing still sends each entry's queries to the one
-        # worker owning its shard, so caches and hydration stay
+        # worker owning its shard, so tables and hydration stay
         # partitioned in the steady state.
         process = self._ctx.Process(
             target=_worker_main,
             args=(
                 child_conn,
                 str(self.store_dir),
-                self.cache_size,
                 self.coalesce,
             ),
             daemon=True,
@@ -896,9 +892,9 @@ class ProcessShardRouter(QueryMethods):
         return True
 
     def warm(self) -> int:
-        """Prefetch prefix tables in every worker; returns resident total."""
+        """Prefetch prefix tables in every worker; returns tables fetched."""
         return sum(
-            int(reply["resident"]) for reply in self._broadcast({"cmd": "warm"})
+            int(reply["warmed"]) for reply in self._broadcast({"cmd": "warm"})
         )
 
     # ------------------------------------------------------------------ #

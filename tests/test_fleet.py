@@ -294,7 +294,7 @@ class TestResidency:
         )
         manager = ResidencyManager(max_resident_bytes=budget)
         manager.watch(loaded)
-        served = QueryEngine(loaded, cache_size=2)
+        served = QueryEngine(loaded)
 
         rng = np.random.default_rng(0)
         # Skewed mix: a few hot members dominate, every member appears.
@@ -323,6 +323,93 @@ class TestResidency:
         assert not loaded["u0"].is_hydrated
         assert engine.range_sum("u0", 0, 10) == first  # transparent rehydrate
         assert loaded["u0"].is_hydrated
+
+    def test_cooling_releases_the_table(self, tmp_path):
+        store = SynopsisStore()
+        store.register_many(fleet_signals(2, seed=4), BuildBudget(max_bytes=400))
+        store.save(tmp_path / "store")
+        loaded = load_store(tmp_path / "store", lazy=True)
+        engine = QueryEngine(loaded)
+        first = engine.range_sum("u0", 0, 10)
+        engine.range_sum("u0", 0, 10)
+        assert loaded.cool("u0") > 0
+        assert engine.range_sum("u0", 0, 10) == first
+        # The table went with the cooled payload: exactly one rebuild.
+        info = engine.entry_cache_info("u0")
+        assert (info["hits"], info["misses"]) == (1, 2)
+
+    def test_repeated_wide_group_query_is_all_hits(self, tmp_path):
+        named = fleet_signals(48, seed=3)
+        n = named[0][1].size
+        router = ShardRouter(num_shards=1)
+        router.register_many(named, BuildBudget(max_bytes=400), cohort="wide")
+        expected = router.group_range_sum("wide", 0, n - 1)
+        before = router.cache_info()
+        assert router.group_range_sum("wide", 0, n - 1) == expected
+        after = router.cache_info()
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + len(named)
+
+        # Lazily loaded under a budget that fits exactly the cohort's
+        # hydrated payload: the second pass hydrates and builds nothing.
+        router.save(tmp_path / "wide")
+        loaded = ShardRouter.load(tmp_path / "wide", lazy=True)
+        store = loaded.shards[0].store
+        budget = sum(
+            int(store[name].describe()["stored_numbers"]) * 8 for name, _ in named
+        )
+        ResidencyManager(max_resident_bytes=budget).watch(store)
+        hydrations = loaded.registry.get("store_hydrate_seconds", shard="0")
+        assert loaded.group_range_sum("wide", 0, n - 1) == expected
+        hydrated, misses = hydrations.count, loaded.cache_info()["misses"]
+        assert hydrated == len(named)
+        assert loaded.group_range_sum("wide", 0, n - 1) == expected
+        assert hydrations.count == hydrated
+        assert loaded.cache_info()["misses"] == misses
+
+    def test_migrated_entries_stay_under_the_budget(self, tmp_path):
+        """Regression: an entry migrated while hydrated was never noted with
+        the target store's residency manager (so it could never cool again)
+        and kept rehydrating into the source store's accounting."""
+        named = fleet_signals(8, seed=6)
+        names = [name for name, _ in named]
+        built = ShardRouter(num_shards=2)
+        built.register_many(named, BuildBudget(max_bytes=400))
+        built.save(tmp_path / "fleet")
+        router = ShardRouter.load(tmp_path / "fleet", lazy=True)
+        target, source = (shard.store for shard in router.shards)
+        movers = source.names()
+        assert movers and target.names()
+        per_entry = max(
+            int(router[name].describe()["stored_numbers"]) * 8 for name in names
+        )
+        budget = 2 * per_entry
+        manager = ResidencyManager(max_resident_bytes=budget)
+        for shard in router.shards:
+            manager.watch(shard.store)
+
+        def assert_accounted():
+            for store in (source, target):
+                assert store.residency()["resident_bytes"] == sum(
+                    store[name].resident_bytes for name in store.names()
+                )
+
+        assert router.migrate(movers, 0) == movers
+        assert_accounted()
+        expected = {name: built.range_sum(name, 0, 10) for name in names}
+        for _ in range(2):
+            for name in names:  # movers first: later queries must cool them
+                assert router.range_sum(name, 0, 10) == expected[name]
+                assert router.residency()["resident_bytes"] <= budget
+                assert_accounted()
+        assert not any(target[name].is_hydrated for name in movers)
+        assert target.cool(movers[0]) == 0  # already cooled by the budget
+        assert router.range_sum(movers[0], 0, 10) == expected[movers[0]]
+        assert target[movers[0]].is_hydrated
+        assert source.residency() == {
+            "entries": 0, "hydrated": 0, "cold": 0, "resident_bytes": 0
+        }
+        assert_accounted()
 
     def test_in_memory_entries_never_cool(self):
         store = SynopsisStore()

@@ -859,8 +859,8 @@ class TestShardedCLI:
         assert set(ShardRouter.load(target).names()) == {"merging", "wavelet"}
 
     def test_load_keeps_every_table_warm_on_large_stores(self, tmp_path, capsys):
-        # Regression: load must size each shard's cache to the store, so
-        # validation of a >32-entry store does not silently evict.
+        # Regression: load once kept at most 32 tables per shard, so
+        # validation of a >32-entry store silently evicted.
         store = SynopsisStore()
         for i in range(40):
             store.register(f"e{i:02d}", signal(32, seed=i), family="exact", k=1)
